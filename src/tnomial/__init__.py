@@ -74,7 +74,6 @@ from .report import IdentityReport, make_report
 from .rings import (
     BiPoly,
     QuadElem,
-    Rational,
     XSeries,
     exact_div,
     geometric_series,
@@ -108,7 +107,6 @@ __all__ = [
     "ParameterMismatchError",
     "QuadElem",
     "ROUTE_NAMES",
-    "Rational",
     "SeqParams",
     "SingularMatrixError",
     "TriMatrix",

@@ -8,8 +8,9 @@ structured output is rendered as a decimal string so that parsing and
 re-serializing is byte-identical.
 
 Exit status: 0 when everything computed or verified cleanly, 1 when a
-verify or oracle sweep found a counterexample, 2 for unusable arguments
-(including routes undefined at the requested parameters).
+verify or oracle sweep found a counterexample or compared nothing, 2 for
+unusable arguments (including routes undefined at the requested
+parameters).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ FORMATS = ("plain", "json", "csv")
 
 TABLE_COLUMNS = ("n", "k", "p", "q", "value")
 
-REPORT_COLUMNS = ("identity", "params", "n_max", "k_max", "status", "counterexample", "notes")
+REPORT_COLUMNS = ("identity", "params", "n_max", "k_max", "status", "counterexample", "notes", "checked")
 
 
 class UsageError(Exception):
@@ -70,7 +71,7 @@ def _emit(text: str, out) -> None:
 def _params_from(args: argparse.Namespace) -> SeqParams:
     if args.p is None or args.q is None:
         raise UsageError("--p and --q are required here")
-    return SeqParams(args.p, args.q, getattr(args, "scale", 1) or 1)
+    return SeqParams(args.p, args.q, args.scale)
 
 
 def _cmd_coeff(args: argparse.Namespace, out) -> int:
@@ -110,8 +111,7 @@ def _cmd_coeff(args: argparse.Namespace, out) -> int:
 
 def _cmd_table(args: argparse.Namespace, out) -> int:
     params = _params_from(args)
-    if args.max < 0:
-        raise UsageError("--max must be nonnegative")
+    _check_bounds(args)
     rows = [
         [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(args.max + 1)
     ]
@@ -141,7 +141,8 @@ def _cmd_table(args: argparse.Namespace, out) -> int:
 def _report_lines(report: IdentityReport) -> list[str]:
     head = (
         f"[{report.identity_id}] {report.status.upper()}  "
-        f"({report.params}; n_max={report.bounds[0]}, k_max={report.bounds[1]})"
+        f"({report.params}; n_max={report.bounds[0]}, k_max={report.bounds[1]}, "
+        f"checked={report.checked})"
     )
     lines = [head]
     if report.first_counterexample is not None:
@@ -159,24 +160,22 @@ def _emit_reports(reports: list[IdentityReport], fmt: str, out) -> int:
         rows = []
         for report in reports:
             d = report.to_dict()
-            ce = "" if d["counterexample"] is None else _dump_json(d["counterexample"])
-            rows.append(
-                (
-                    d["identity"],
-                    d["params"],
-                    d["n_max"],
-                    d["k_max"],
-                    d["status"],
-                    ce,
-                    "; ".join(d["notes"]),
-                )
-            )
+            d["counterexample"] = "" if d["counterexample"] is None else _dump_json(d["counterexample"])
+            d["notes"] = "; ".join(d["notes"])
+            rows.append(tuple(d[column] for column in REPORT_COLUMNS))
         _emit(_dump_csv(REPORT_COLUMNS, rows), out)
     else:
         for report in reports:
             for line in _report_lines(report):
                 _emit(line, out)
     return 0 if all(report.holds for report in reports) else 1
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    for flag in ("max", "order"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise UsageError(f"--{flag} must be nonnegative")
 
 
 def _verify_grid(args: argparse.Namespace) -> list[tuple[int, int]] | None:
@@ -193,16 +192,18 @@ def _verify_grid(args: argparse.Namespace) -> list[tuple[int, int]] | None:
 
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     grid = _verify_grid(args)
+    _check_bounds(args)
     if args.alpha is not None:
         if args.identity != "fibonomial":
             raise UsageError("--alpha only applies to the fibonomial suite")
-        reports = fibonomial_reports((args.alpha,), args.max or 10)
+        reports = fibonomial_reports((args.alpha,), 10 if args.max is None else args.max)
     else:
         reports = run_verify(args.identity, grid, args.max, args.order)
     return _emit_reports(reports, args.format, out)
 
 
 def _cmd_oracle(args: argparse.Namespace, out) -> int:
+    _check_bounds(args)
     reports = run_oracle(args.which, args.max)
     return _emit_reports(reports, args.format, out)
 

@@ -35,7 +35,7 @@ from .coefficients import (
     coeff_symbolic,
 )
 from .errors import DegenerateParametersError, IdentityViolation
-from .report import IdentityReport, make_report
+from .report import IdentityReport, make_report, sweep
 from .rings import BiPoly, QuadElem, XSeries, exact_div, geometric_series, series_product
 from .sequences import SeqParams
 
@@ -325,17 +325,19 @@ def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
         product prod_{s=1..n} (1 - v**(s-1) u**(n-s) x) expands with
         t-free coefficients equal to (-1)**C(k+1,2) C(n, k).
     """
-    if alpha < 1 or n_max < 1:
-        raise ValueError("alpha and n_max must be positive")
-    label = f"alpha={alpha}"
+    if alpha < 1 or n_max < 0:
+        raise ValueError("alpha must be positive and n_max nonnegative")
+    points = _fibonomial_points(alpha, n_max)
+    return sweep("fibonomial", f"alpha={alpha}", (n_max, n_max), ("n", "k"), points)
+
+
+def _fibonomial_points(alpha: int, n_max: int):
     fib = [alpha_fibonacci(alpha, i) for i in range(n_max + 2)]
 
     for n in range(2, n_max + 1):
         for k in range(1, n):
             m = n - k
-            if fib[n] != fib[m - 1] * fib[k] + fib[k + 1] * fib[m]:
-                ce = {"n": n, "k": k, "lhs": fib[n], "rhs": fib[m - 1] * fib[k] + fib[k + 1] * fib[m]}
-                return make_report("fibonomial", label, (n_max, n_max), ce)
+            yield n, k, fib[n], fib[m - 1] * fib[k] + fib[k + 1] * fib[m]
 
     for n in range(1, n_max + 1):
         for k in range(1, n):
@@ -343,10 +345,7 @@ def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
             recurrence = fib[m - 1] * fibonomial(alpha, n - 1, k - 1) + fib[k + 1] * fibonomial(
                 alpha, n - 1, k
             )
-            direct = fibonomial(alpha, n, k)
-            if recurrence != direct:
-                ce = {"n": n, "k": k, "lhs": direct, "rhs": recurrence}
-                return make_report("fibonomial", label, (n_max, n_max), ce)
+            yield n, k, fibonomial(alpha, n, k), recurrence
 
     u = QuadElem.root(alpha)
     v = QuadElem.conjugate_root(alpha)
@@ -356,13 +355,8 @@ def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
         factors = [XSeries([one, -w], n + 1, zero=one * 0) for w in weights]
         series = series_product(factors, n + 1, one=one)
         for k in range(n + 1):
-            coefficient = series[k]
-            expected = (-1) ** _binom2(k + 1) * fibonomial(alpha, n, k)
-            if not coefficient.is_integer() or coefficient.a != expected:
-                ce = {"n": n, "k": k, "lhs": str(coefficient), "rhs": expected}
-                return make_report("fibonomial", label, (n_max, n_max), ce)
-
-    return make_report("fibonomial", label, (n_max, n_max))
+            # a QuadElem equals an int only when it is t-free
+            yield n, k, series[k], (-1) ** _binom2(k + 1) * fibonomial(alpha, n, k)
 
 
 def gaussian_explicit(q_val: int, n: int, k: int) -> int:

@@ -21,7 +21,7 @@ from math import comb, prod
 from typing import Callable
 
 from .errors import BudgetExceededError, SingularMatrixError
-from .report import IdentityReport, make_report
+from .report import IdentityReport, sweep
 from .rings import exact_div
 from .sequences import SeqParams, term_closed
 
@@ -269,22 +269,22 @@ def verify_inverse_relation(p_val: int, n_max: int) -> IdentityReport:
     """Check the diagonal-case inverse against the acyclic-digraph counts:
     inverse entry (n, k) must equal (-1)**(n-k) * a(n-k) * comb(n, k) *
     p**(k*(n-k)), with a() from the inclusion-exclusion recurrence."""
-    # Imported here so the enumeration code paths above stay independent
-    # of the coefficient formulas; this function exists to compare the two.
-    from .coefficients import coeff_inverse
-
     if p_val < 2:
         raise ValueError("p_val must be at least 2")
     if n_max < 0 or n_max > 8:
         raise ValueError("n_max capped at 8")
+    points = _inverse_relation_points(p_val, n_max)
+    return sweep("inverse-relation", f"p=q={p_val}", (n_max, n_max), ("n", "k"), points)
+
+
+def _inverse_relation_points(p_val: int, n_max: int):
+    # Imported here so the enumeration code paths above stay independent
+    # of the coefficient formulas; this generator pairs the two.
+    from .coefficients import coeff_inverse
+
     params = SeqParams(p_val, p_val)
-    label = f"p=q={p_val}"
     dag_counts = [count_acyclic_multidigraphs_recurrence(p_val, r) for r in range(n_max + 1)]
     for n in range(n_max + 1):
         for k in range(n + 1):
             expected = (-1) ** (n - k) * dag_counts[n - k] * comb(n, k) * p_val ** (k * (n - k))
-            actual = coeff_inverse(params, n, k)
-            if actual != expected:
-                ce = {"n": n, "k": k, "lhs": actual, "rhs": expected}
-                return make_report("inverse-relation", label, (n_max, n_max), ce)
-    return make_report("inverse-relation", label, (n_max, n_max))
+            yield n, k, coeff_inverse(params, n, k), expected

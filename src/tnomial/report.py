@@ -1,19 +1,26 @@
-"""Verification outcome record shared by the identity and oracle suites."""
+"""Verification outcome record shared by the identity and oracle suites,
+and the one exact comparison driver that produces it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
 class IdentityReport:
     """Result of sweeping one identity over a parameter and index range.
 
-    ``first_counterexample`` maps location labels (``n``, ``k``, ``p``, ...)
-    and the two mismatched sides (``lhs``, ``rhs``) to their values; it is
-    present exactly when ``status`` is ``"fails"``.  ``notes`` carries
-    informational findings that do not affect the status, e.g. a documented
-    counterexample to a rejected variant of the identity.
+    ``status`` is ``"holds"`` when every compared pair matched,
+    ``"fails"`` at the first mismatch and ``"vacuous"`` when the sweep
+    compared nothing.  ``first_counterexample`` maps location labels
+    (``n``, ``k``, ``p``, ...) and the two mismatched sides (``lhs``,
+    ``rhs``) to their values; it is present exactly when ``status`` is
+    ``"fails"``.  ``notes`` carries informational findings that do not
+    affect the status, e.g. a documented counterexample to a rejected
+    variant of the identity.  ``checked`` counts the compared
+    ``(lhs, rhs)`` pairs, the mismatched one included; it is zero exactly
+    when ``status`` is ``"vacuous"``.
     """
 
     identity_id: str
@@ -22,12 +29,15 @@ class IdentityReport:
     status: str
     first_counterexample: dict | None = None
     notes: tuple[str, ...] = ()
+    checked: int = 0
 
     def __post_init__(self) -> None:
-        if self.status not in ("holds", "fails"):
+        if self.status not in ("holds", "fails", "vacuous"):
             raise ValueError(f"bad status {self.status!r}")
         if (self.status == "fails") != (self.first_counterexample is not None):
-            raise ValueError("status 'fails' must come with a counterexample and 'holds' without")
+            raise ValueError("status 'fails' must come with a counterexample and no other status may")
+        if self.checked < 0 or (self.status == "vacuous") != (self.checked == 0):
+            raise ValueError("status 'vacuous' must come with checked == 0 and no other status may")
 
     @property
     def holds(self) -> bool:
@@ -46,6 +56,7 @@ class IdentityReport:
             "status": self.status,
             "counterexample": ce,
             "notes": list(self.notes),
+            "checked": str(self.checked),
         }
 
 
@@ -54,7 +65,33 @@ def make_report(
     params: str,
     bounds: tuple[int, int],
     counterexample: dict | None = None,
-    notes: tuple[str, ...] = (),
+    notes: Sequence[str] = (),
+    checked: int = 1,
 ) -> IdentityReport:
-    status = "fails" if counterexample is not None else "holds"
-    return IdentityReport(identity_id, params, bounds, status, counterexample, tuple(notes))
+    """Report whose status follows from the counterexample and the count."""
+    status = "fails" if counterexample is not None else "holds" if checked else "vacuous"
+    return IdentityReport(identity_id, params, bounds, status, counterexample, tuple(notes), checked)
+
+
+def sweep(
+    identity_id: str,
+    params_label: str,
+    bounds: tuple[int, int],
+    keys: tuple[str, ...],
+    points: Iterable[tuple],
+    notes: Sequence[str] = (),
+) -> IdentityReport:
+    """Compare the ``(*location, lhs, rhs)`` tuples of ``points`` exactly.
+
+    Stops at the first ``lhs != rhs`` and reports it with ``keys`` zipped
+    onto its location (a shorter location leaves the trailing keys out).
+    ``notes`` is read once the points are exhausted, so a generator may
+    append findings to it as it goes.
+    """
+    checked = 0
+    for point in points:
+        if point[-2] != point[-1]:
+            counterexample = dict(zip(keys, point[:-2]), lhs=point[-2], rhs=point[-1])
+            return make_report(identity_id, params_label, bounds, counterexample, notes, checked + 1)
+        checked += 1
+    return make_report(identity_id, params_label, bounds, None, notes, checked)

@@ -1,23 +1,16 @@
 """Exact arithmetic cores.
 
 Everything here is immutable and exact: arbitrary-precision integers
-(plain ``int``), always-reduced rationals (``fractions.Fraction``), a
-sparse bivariate polynomial ring over the integers, a quadratic integer
-ring Z[t]/(t^2 - alpha*t - 1), and truncated formal power series over
-any of those coefficient rings.
+(plain ``int``), a sparse bivariate polynomial ring over the integers, a
+quadratic integer ring Z[t]/(t^2 - alpha*t - 1), and truncated formal
+power series over any of those coefficient rings.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import DivisibilityError, ParameterMismatchError
-
-# Reduced rationals: Fraction already guarantees gcd(|num|, den) = 1,
-# den >= 1, and zero normalized to 0/1, which is exactly the contract
-# the exact routines below rely on.
-Rational = Fraction
 
 
 def exact_div(a: int, b: int) -> int:

@@ -1,8 +1,12 @@
 """Sweep drivers for the identity and oracle checks.
 
-Each suite walks a parameter grid and an index range, stops at the first
-exact mismatch, and returns IdentityReport records.  The CLI and the
-acceptance tests both run through these entry points.
+Each suite is a private generator that walks a parameter grid and an
+index range and yields one ``(*location, lhs, rhs)`` tuple per exact
+comparison, computing each side only when the sweep asks for the next
+point.  Its public wrapper hands the generator to ``report.sweep``, which
+compares the pairs, stops at the first mismatch, counts what it compared
+and decides the report's status.  The CLI and the acceptance tests both
+run through the public wrappers.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .oracles import (
     verify_inverse_relation,
     volume_ratio,
 )
-from .report import IdentityReport, make_report
+from .report import IdentityReport, sweep
 from .rings import XSeries
 from .sequences import SeqParams, term_closed
 
@@ -76,6 +80,48 @@ def _grid_label(grid: list[tuple[int, int]]) -> str:
     return f"p in [{ps[0]}..{ps[-1]}], q in [{qs[0]}..{qs[-1]}]"
 
 
+def _asserted(check, *args) -> tuple:
+    """Run a check that raises IdentityViolation at its first mismatch as
+    one comparison: ``(where, lhs, rhs)`` with the violation's location and
+    sides, or the check's result on both sides when it passes.  The sweep
+    stops at a violation, so no generator goes on to use its result."""
+    try:
+        result = check(*args)
+    except IdentityViolation as violation:
+        return f"{violation.identity} at {violation.location}", violation.lhs, violation.rhs
+    return None, result, result
+
+
+def _route_points(grid, n_max):
+    for p, q in grid:
+        params = SeqParams(p, q)
+        terms = [term_closed(params, i) for i in range(n_max + 1)]
+        for n in range(n_max + 1):
+            factorial_defined = all(terms[1 : n + 1])
+            for k in range(n + 1):
+                reference = coeff_recurrence(params, n, k)
+                if factorial_defined:
+                    yield p, q, n, k, "factorial", coeff_factorial(params, n, k), reference
+                try:
+                    value = coeff_product(params, n, k)
+                except DegenerateParametersError:
+                    pass
+                else:
+                    yield p, q, n, k, "product", value, reference
+                subset = coeff_lambda_subset(params, n, k)
+                yield p, q, n, k, "subset", subset, reference * (p * q) ** _binom2(k)
+                if n >= 1:
+                    multiset = coeff_lambda_multiset(params, n, k)
+                    yield p, q, n, k, "multiset", multiset, coeff_recurrence(params, n + k - 1, k)
+                try:
+                    value = coeff_partial_fractions(params, n, k)
+                except DegenerateParametersError:
+                    pass
+                else:
+                    yield p, q, n, k, "partial-fractions", value, reference
+                yield p, q, n, k, "symbolic", coeff_symbolic(n, k).eval(p, q), reference
+
+
 def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> IdentityReport:
     """Agreement of every numeric coefficient route with the recurrence.
 
@@ -88,57 +134,21 @@ def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> 
     """
     if grid is None:
         grid = pq_grid()
+    keys = ("p", "q", "n", "k", "route")
+    return sweep("route-agreement", _grid_label(grid), (n_max, n_max), keys, _route_points(grid, n_max))
+
+
+def _gf_points(grid, n_max, order):
     for p, q in grid:
         params = SeqParams(p, q)
-        terms = [term_closed(params, i) for i in range(n_max + 1)]
         for n in range(n_max + 1):
-            factorial_defined = all(terms[1 : n + 1])
-            for k in range(n + 1):
-                reference = coeff_recurrence(params, n, k)
-                location = {"p": p, "q": q, "n": n, "k": k}
-
-                if factorial_defined:
-                    value = coeff_factorial(params, n, k)
-                    if value != reference:
-                        ce = dict(location, route="factorial", lhs=value, rhs=reference)
-                        return make_report("route-agreement", _grid_label(grid), (n_max, n_max), ce)
-
-                try:
-                    value = coeff_product(params, n, k)
-                except DegenerateParametersError:
-                    pass
-                else:
-                    if value != reference:
-                        ce = dict(location, route="product", lhs=value, rhs=reference)
-                        return make_report("route-agreement", _grid_label(grid), (n_max, n_max), ce)
-
-                subset = coeff_lambda_subset(params, n, k)
-                expected = reference * (p * q) ** _binom2(k)
-                if subset != expected:
-                    ce = dict(location, route="subset", lhs=subset, rhs=expected)
-                    return make_report("route-agreement", _grid_label(grid), (n_max, n_max), ce)
-
-                if n >= 1:
-                    multiset = coeff_lambda_multiset(params, n, k)
-                    expected = coeff_recurrence(params, n + k - 1, k)
-                    if multiset != expected:
-                        ce = dict(location, route="multiset", lhs=multiset, rhs=expected)
-                        return make_report("route-agreement", _grid_label(grid), (n_max, n_max), ce)
-
-                try:
-                    value = coeff_partial_fractions(params, n, k)
-                except DegenerateParametersError:
-                    pass
-                else:
-                    if value != reference:
-                        ce = dict(location, route="partial-fractions", lhs=str(value), rhs=reference)
-                        return make_report("route-agreement", _grid_label(grid), (n_max, n_max), ce)
-
-                evaluated = coeff_symbolic(n, k).eval(p, q)
-                if evaluated != reference:
-                    ce = dict(location, route="symbolic", lhs=evaluated, rhs=reference)
-                    return make_report("route-agreement", _grid_label(grid), (n_max, n_max), ce)
-    return make_report("route-agreement", _grid_label(grid), (n_max, n_max))
+            where, subset, expected = _asserted(expand_subset_gf, n, params, order)
+            yield p, q, n, where, subset, expected
+            yield p, q, n, *_asserted(expand_split_gf, n, params)
+            if n >= 1:
+                where, multiset, expected = _asserted(expand_multiset_gf, n, order, params)
+                yield p, q, n, where, multiset, expected
+                yield p, q, n, "subset * multiset", subset * multiset, XSeries.one(order)
 
 
 def gf_suite(
@@ -148,48 +158,28 @@ def gf_suite(
     mutual-inverse check: subset series times multiset series equals 1."""
     if grid is None:
         grid = pq_grid()
-    for p, q in grid:
-        params = SeqParams(p, q)
-        for n in range(n_max + 1):
-            try:
-                subset = expand_subset_gf(n, params, order)
-                expand_split_gf(n, params)
-                if n >= 1:
-                    multiset = expand_multiset_gf(n, order, params)
-                    product = subset * multiset
-                    identity = XSeries.one(order)
-                    if product != identity:
-                        ce = {"p": p, "q": q, "n": n, "lhs": str(product.coefficients), "rhs": "1"}
-                        return make_report("gf-coherence", _grid_label(grid), (n_max, order), ce)
-            except IdentityViolation as violation:
-                ce = {
-                    "p": p,
-                    "q": q,
-                    "identity": violation.identity,
-                    "location": violation.location,
-                    "lhs": str(violation.lhs),
-                    "rhs": str(violation.rhs),
-                }
-                return make_report("gf-coherence", _grid_label(grid), (n_max, order), ce)
-    return make_report("gf-coherence", _grid_label(grid), (n_max, order))
+    points = _gf_points(grid, n_max, order)
+    return sweep("gf-coherence", _grid_label(grid), (n_max, order), ("p", "q", "n", "check"), points)
+
+
+def _binomial_points(n_max):
+    for n in range(1, n_max + 1):
+        for form in ("y_weights", "split"):
+            yield n, form, *_asserted(binomial_like, n, form)
 
 
 def binomial_suite(n_max: int = 7) -> IdentityReport:
     """Symbolic binomial-like expansion, both forms, over Z[p, q]."""
-    for n in range(1, n_max + 1):
-        for form in ("y_weights", "split"):
-            try:
-                binomial_like(n, form)
-            except IdentityViolation as violation:
-                ce = {
-                    "n": n,
-                    "form": form,
-                    "location": violation.location,
-                    "lhs": str(violation.lhs),
-                    "rhs": str(violation.rhs),
-                }
-                return make_report("binomial-like", "symbolic", (n_max, n_max), ce)
-    return make_report("binomial-like", "symbolic", (n_max, n_max))
+    keys = ("n", "form", "check")
+    return sweep("binomial-like", "symbolic", (n_max, n_max), keys, _binomial_points(n_max))
+
+
+def _orthogonality_points(grid, n_max, s_max):
+    for p, q in grid:
+        params = SeqParams(p, q)
+        for n in range(1, n_max + 1):
+            for s in range(1, s_max + 1):
+                yield p, q, n, s, orthogonality(params, n, s), True
 
 
 def orthogonality_suite(
@@ -197,14 +187,30 @@ def orthogonality_suite(
 ) -> IdentityReport:
     if grid is None:
         grid = pq_grid()
+    points = _orthogonality_points(grid, n_max, s_max)
+    return sweep("orthogonality", _grid_label(grid), (n_max, s_max), ("p", "q", "n", "s"), points)
+
+
+def _vandermonde_points(grid, nm_max, notes):
+    interior_found = False
     for p, q in grid:
         params = SeqParams(p, q)
-        for n in range(1, n_max + 1):
-            for s in range(1, s_max + 1):
-                if not orthogonality(params, n, s):
-                    ce = {"p": p, "q": q, "n": n, "s": s, "lhs": "nonzero", "rhs": 0}
-                    return make_report("orthogonality", _grid_label(grid), (n_max, s_max), ce)
-    return make_report("orthogonality", _grid_label(grid), (n_max, s_max))
+        for n in range(nm_max + 1):
+            for m in range(nm_max + 1):
+                for k in range(n + m + 1):
+                    lhs, rhs_proof, rhs_plain = vandermonde_terms(params, n, m, k)
+                    yield p, q, n, m, k, lhs, rhs_proof
+                    if rhs_plain != lhs:
+                        interior = min(n, m, k) >= 1
+                        if not notes or (interior and not interior_found):
+                            kind = "interior" if interior else "boundary"
+                            notes.append(
+                                f"plain-exponent variant fails ({kind}) at p={p}, q={q}, "
+                                f"n={n}, m={m}, k={k}: {rhs_plain} != {lhs}"
+                            )
+                            interior_found = interior_found or interior
+    if not notes:
+        notes.append("plain-exponent variant never refuted on this grid")
 
 
 def vandermonde_suite(
@@ -215,37 +221,13 @@ def vandermonde_suite(
     reading is recorded in the notes."""
     if grid is None:
         grid = positive_grid()
-    plain_notes: list[str] = []
-    interior_found = False
-    for p, q in grid:
-        params = SeqParams(p, q)
-        for n in range(nm_max + 1):
-            for m in range(nm_max + 1):
-                for k in range(n + m + 1):
-                    lhs, rhs_proof, rhs_plain = vandermonde_terms(params, n, m, k)
-                    if rhs_proof != lhs:
-                        ce = {"p": p, "q": q, "n": n, "m": m, "k": k, "lhs": lhs, "rhs": rhs_proof}
-                        return make_report("vandermonde", _grid_label(grid), (nm_max, 2 * nm_max), ce)
-                    if rhs_plain != lhs:
-                        interior = min(n, m, k) >= 1
-                        if not plain_notes or (interior and not interior_found):
-                            kind = "interior" if interior else "boundary"
-                            plain_notes.append(
-                                f"plain-exponent variant fails ({kind}) at p={p}, q={q}, "
-                                f"n={n}, m={m}, k={k}: {rhs_plain} != {lhs}"
-                            )
-                            interior_found = interior_found or interior
-    if not plain_notes:
-        plain_notes.append("plain-exponent variant never refuted on this grid")
-    return make_report("vandermonde", _grid_label(grid), (nm_max, 2 * nm_max), None, tuple(plain_notes))
+    notes: list[str] = []
+    points = _vandermonde_points(grid, nm_max, notes)
+    keys = ("p", "q", "n", "m", "k")
+    return sweep("vandermonde", _grid_label(grid), (nm_max, 2 * nm_max), keys, points, notes)
 
 
-def equal1_suite(grid: list[tuple[int, int]] | None = None, k_max: int = 8) -> IdentityReport:
-    """Partial-fraction sum at n = k must be exactly 1 wherever the nodes
-    are pairwise distinct."""
-    if grid is None:
-        grid = pq_grid()
-    checked = 0
+def _unit_sum_points(grid, k_max):
     for p, q in grid:
         params = SeqParams(p, q)
         for k in range(k_max + 1):
@@ -253,25 +235,19 @@ def equal1_suite(grid: list[tuple[int, int]] | None = None, k_max: int = 8) -> I
                 ok = equal1_check(params, k)
             except DegenerateParametersError:
                 continue
-            checked += 1
-            if not ok:
-                ce = {
-                    "p": p,
-                    "q": q,
-                    "k": k,
-                    "lhs": str(coeff_partial_fractions(params, k, k)),
-                    "rhs": 1,
-                }
-                return make_report("unit-sum", _grid_label(grid), (k_max, k_max), ce)
-    notes = (f"{checked} non-degenerate parameter/index points checked",)
-    return make_report("unit-sum", _grid_label(grid), (k_max, k_max), None, notes)
+            yield p, q, k, 1 if ok else coeff_partial_fractions(params, k, k), 1
 
 
-def inversion_suite(grid: list[tuple[int, int]] | None = None, order: int = 8) -> IdentityReport:
-    """The composition-sum inverse must invert the coefficient triangle on
-    both sides and match the exact forward-substitution inverse entrywise."""
+def equal1_suite(grid: list[tuple[int, int]] | None = None, k_max: int = 8) -> IdentityReport:
+    """Partial-fraction sum at n = k must be exactly 1 wherever the nodes
+    are pairwise distinct."""
     if grid is None:
         grid = pq_grid()
+    points = _unit_sum_points(grid, k_max)
+    return sweep("unit-sum", _grid_label(grid), (k_max, k_max), ("p", "q", "k"), points)
+
+
+def _inversion_points(grid, order):
     size = order + 1
     identity = TriMatrix.identity(size)
     for p, q in grid:
@@ -283,27 +259,55 @@ def inversion_suite(grid: list[tuple[int, int]] | None = None, order: int = 8) -
             tuple(tuple(coeff_inverse(params, n, k) for k in range(n + 1)) for n in range(size))
         )
         substituted = invert_triangular(triangle)
-        if inverse != substituted:
-            for n in range(size):
-                for k in range(n + 1):
-                    if inverse.rows[n][k] != substituted.rows[n][k]:
-                        ce = {
-                            "p": p,
-                            "q": q,
-                            "n": n,
-                            "k": k,
-                            "lhs": str(inverse.rows[n][k]),
-                            "rhs": str(substituted.rows[n][k]),
-                        }
-                        return make_report("inversion", _grid_label(grid), (order, order), ce)
-        if triangle @ inverse != identity or inverse @ triangle != identity:
-            ce = {"p": p, "q": q, "lhs": "triangle @ inverse", "rhs": "identity"}
-            return make_report("inversion", _grid_label(grid), (order, order), ce)
-    return make_report("inversion", _grid_label(grid), (order, order))
+        for n in range(size):
+            for k in range(n + 1):
+                yield p, q, "entry", n, k, inverse.rows[n][k], substituted.rows[n][k]
+        yield p, q, "triangle @ inverse", triangle @ inverse, identity
+        yield p, q, "inverse @ triangle", inverse @ triangle, identity
+
+
+def inversion_suite(grid: list[tuple[int, int]] | None = None, order: int = 8) -> IdentityReport:
+    """The composition-sum inverse must invert the coefficient triangle on
+    both sides and match the exact forward-substitution inverse entrywise."""
+    if grid is None:
+        grid = pq_grid()
+    keys = ("p", "q", "check", "n", "k")
+    return sweep("inversion", _grid_label(grid), (order, order), keys, _inversion_points(grid, order))
 
 
 def fibonomial_reports(alphas: tuple[int, ...] = (1, 2), n_max: int = 10) -> list[IdentityReport]:
     return [fibonomial_suite(alpha, n_max) for alpha in alphas]
+
+
+def _specialization_points(n_max):
+    ones = SeqParams(1, 1)
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            yield "pascal", 1, 1, 1, n, k, coeff_recurrence(ones, n, k), comb(n, k)
+            yield "pascal-inverse", 1, 1, 1, n, k, coeff_inverse(ones, n, k), (-1) ** (n - k) * comb(n, k)
+
+    for q_val in (2, 3):
+        params = SeqParams(1, q_val)
+        for n in range(min(n_max, 6) + 1):
+            for k in range(n + 1):
+                where, value, expected = _asserted(gaussian_explicit, q_val, n, k)
+                yield "gaussian-explicit", 1, q_val, 1, n, k, where, value, expected
+            yield "gaussian-basis", 1, q_val, 1, n, gaussian_basis_check(q_val, n), True
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                expected = gaussian_inverse_entry(q_val, n, k)
+                yield "gaussian-inverse", 1, q_val, 1, n, k, coeff_inverse(params, n, k), expected
+
+    for p, q in ((2, 3), (1, 2), (2, 2)):
+        reference = SeqParams(p, q)
+        for scale in (2, 3):
+            scaled = SeqParams(p, q, scale)
+            for n in range(n_max + 1):
+                for k in range(n + 1):
+                    base = coeff_factorial(reference, n, k)
+                    value = coeff_factorial(scaled, n, k)
+                    yield "scale", p, q, scale, n, k, value, base
+                    yield "scale", p, q, scale, n, k, value, coeff_recurrence(scaled, n, k)
 
 
 def specialization_suite(n_max: int = 8) -> IdentityReport:
@@ -315,171 +319,117 @@ def specialization_suite(n_max: int = 8) -> IdentityReport:
     invariant under the sequence scale.
     """
     label = "pascal, gaussian q in {2, 3}, scale in {1, 2, 3}"
-    ones = SeqParams(1, 1)
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            if coeff_recurrence(ones, n, k) != comb(n, k):
-                ce = {"case": "pascal", "n": n, "k": k, "lhs": coeff_recurrence(ones, n, k), "rhs": comb(n, k)}
-                return make_report("specializations", label, (n_max, n_max), ce)
-            if coeff_inverse(ones, n, k) != (-1) ** (n - k) * comb(n, k):
-                ce = {
-                    "case": "pascal-inverse",
-                    "n": n,
-                    "k": k,
-                    "lhs": coeff_inverse(ones, n, k),
-                    "rhs": (-1) ** (n - k) * comb(n, k),
-                }
-                return make_report("specializations", label, (n_max, n_max), ce)
-
-    for q_val in (2, 3):
-        params = SeqParams(1, q_val)
-        for n in range(min(n_max, 6) + 1):
-            for k in range(n + 1):
-                try:
-                    gaussian_explicit(q_val, n, k)
-                except IdentityViolation as violation:
-                    ce = {
-                        "case": "gaussian-explicit",
-                        "q": q_val,
-                        "location": violation.location,
-                        "lhs": str(violation.lhs),
-                        "rhs": str(violation.rhs),
-                    }
-                    return make_report("specializations", label, (n_max, n_max), ce)
-            if not gaussian_basis_check(q_val, n):
-                ce = {"case": "gaussian-basis", "q": q_val, "n": n, "lhs": "mismatch", "rhs": "x**n"}
-                return make_report("specializations", label, (n_max, n_max), ce)
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                expected = gaussian_inverse_entry(q_val, n, k)
-                if coeff_inverse(params, n, k) != expected:
-                    ce = {
-                        "case": "gaussian-inverse",
-                        "q": q_val,
-                        "n": n,
-                        "k": k,
-                        "lhs": coeff_inverse(params, n, k),
-                        "rhs": expected,
-                    }
-                    return make_report("specializations", label, (n_max, n_max), ce)
-
-    for p, q in ((2, 3), (1, 2), (2, 2)):
-        reference = SeqParams(p, q)
-        for scale in (2, 3):
-            scaled = SeqParams(p, q, scale)
-            for n in range(n_max + 1):
-                for k in range(n + 1):
-                    base = coeff_factorial(reference, n, k)
-                    value = coeff_factorial(scaled, n, k)
-                    if value != base or value != coeff_recurrence(scaled, n, k):
-                        ce = {
-                            "case": "scale",
-                            "p": p,
-                            "q": q,
-                            "scale": scale,
-                            "n": n,
-                            "k": k,
-                            "lhs": value,
-                            "rhs": base,
-                        }
-                        return make_report("specializations", label, (n_max, n_max), ce)
-    return make_report("specializations", label, (n_max, n_max))
+    keys = ("case", "p", "q", "scale", "n", "k", "check")
+    return sweep("specializations", label, (n_max, n_max), keys, _specialization_points(n_max))
 
 
-def selections_oracle_suite(hi: int = 3, n_max: int = 8, k_max: int = 6) -> IdentityReport:
-    """Brute-force ball selections against the coefficient formulas."""
-    label = f"p, q in [1..{hi}]"
+def _selection_points(hi, n_max, k_max):
     for p, q in positive_grid(hi):
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             boxes = BoxWeights.from_params(params, n)
             for k in range(min(k_max, 6) + 1):
                 with_rep = count_selections(boxes, k, repetition=True)
-                expected = coeff_recurrence(params, n + k - 1, k)
-                if with_rep != expected:
-                    ce = {"p": p, "q": q, "n": n, "k": k, "lhs": with_rep, "rhs": expected}
-                    return make_report("selections-oracle", label, (n_max, k_max), ce)
+                yield p, q, n, k, with_rep, coeff_recurrence(params, n + k - 1, k)
                 without_rep = count_selections(boxes, k, repetition=False)
                 expected = (
                     coeff_recurrence(params, n, k) * (p * q) ** _binom2(k) if k <= n else 0
                 )
-                if without_rep != expected:
-                    ce = {"p": p, "q": q, "n": n, "k": k, "lhs": without_rep, "rhs": expected}
-                    return make_report("selections-oracle", label, (n_max, k_max), ce)
-    return make_report("selections-oracle", label, (n_max, k_max))
+                yield p, q, n, k, without_rep, expected
 
 
-def bipartite_oracle_suite(alpha_max: int = 3, n_max: int = 5) -> IdentityReport:
-    """Brute-force bipartite multigraph counts against the diagonal case."""
-    label = f"alpha in [1..{alpha_max}]"
+def selections_oracle_suite(hi: int = 3, n_max: int = 8, k_max: int = 6) -> IdentityReport:
+    """Brute-force ball selections against the coefficient formulas."""
+    points = _selection_points(hi, n_max, k_max)
+    return sweep("selections-oracle", f"p, q in [1..{hi}]", (n_max, k_max), ("p", "q", "n", "k"), points)
+
+
+def _bipartite_points(alpha_max, n_max):
     for alpha in range(1, alpha_max + 1):
         params = SeqParams(alpha, alpha)
         for n in range(n_max + 1):
             for k in range(n + 1):
                 counted = count_bipartite_multigraphs(alpha, n, k)
-                closed = comb(n, k) * alpha ** (k * (n - k))
-                triangle = coeff_recurrence(params, n, k)
-                if counted != closed or counted != triangle:
-                    ce = {"alpha": alpha, "n": n, "k": k, "lhs": counted, "rhs": triangle}
-                    return make_report("bipartite-oracle", label, (n_max, n_max), ce)
-    return make_report("bipartite-oracle", label, (n_max, n_max))
+                yield alpha, n, k, counted, comb(n, k) * alpha ** (k * (n - k))
+                yield alpha, n, k, counted, coeff_recurrence(params, n, k)
+
+
+def bipartite_oracle_suite(alpha_max: int = 3, n_max: int = 5) -> IdentityReport:
+    """Brute-force bipartite multigraph counts against the diagonal case."""
+    label = f"alpha in [1..{alpha_max}]"
+    points = _bipartite_points(alpha_max, n_max)
+    return sweep("bipartite-oracle", label, (n_max, n_max), ("alpha", "n", "k"), points)
 
 
 ACYCLIC_BASE_COUNTS = (1, 1, 3, 25, 543)
 
 
-def dag_oracle_suite(n_max: int = 4) -> IdentityReport:
-    """Brute-force acyclic multi-digraph counts: frozen values for
-    multiplicity bound 2, and recurrence agreement for bounds 2 and 3."""
-    label = "p in {2, 3}"
-    n_max = min(n_max, 4)
+def _dag_points(n_max):
     for n in range(n_max + 1):
-        brute = count_acyclic_multidigraphs(2, n)
-        if brute != ACYCLIC_BASE_COUNTS[n]:
-            ce = {"p": 2, "n": n, "lhs": brute, "rhs": ACYCLIC_BASE_COUNTS[n]}
-            return make_report("acyclic-oracle", label, (n_max, n_max), ce)
+        yield 2, n, count_acyclic_multidigraphs(2, n), ACYCLIC_BASE_COUNTS[n]
     for p_val in (2, 3):
         for n in range(n_max + 1):
             brute = count_acyclic_multidigraphs(p_val, n)
-            recurred = count_acyclic_multidigraphs_recurrence(p_val, n)
-            if brute != recurred:
-                ce = {"p": p_val, "n": n, "lhs": brute, "rhs": recurred}
-                return make_report("acyclic-oracle", label, (n_max, n_max), ce)
-    return make_report("acyclic-oracle", label, (n_max, n_max))
+            yield p_val, n, brute, count_acyclic_multidigraphs_recurrence(p_val, n)
 
 
-def volume_oracle_suite(hi: int = 3, n_max: int = 8) -> IdentityReport:
-    """Box-volume ratios against the coefficient triangle."""
-    label = f"p, q in [1..{hi}]"
+def dag_oracle_suite(n_max: int = 4) -> IdentityReport:
+    """Brute-force acyclic multi-digraph counts: frozen values for
+    multiplicity bound 2, and recurrence agreement for bounds 2 and 3."""
+    n_max = min(n_max, 4)
+    return sweep("acyclic-oracle", "p in {2, 3}", (n_max, n_max), ("p", "n"), _dag_points(n_max))
+
+
+def _volume_points(hi, n_max):
     for p, q in positive_grid(hi):
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
-                ratio = volume_ratio(params, k, n)
-                expected = coeff_recurrence(params, n, n - k + 1)
-                if ratio != expected:
-                    ce = {"p": p, "q": q, "n": n, "k": k, "lhs": ratio, "rhs": expected}
-                    return make_report("volume-oracle", label, (n_max, n_max), ce)
-    return make_report("volume-oracle", label, (n_max, n_max))
+                yield p, q, n, k, volume_ratio(params, k, n), coeff_recurrence(params, n, n - k + 1)
+
+
+def volume_oracle_suite(hi: int = 3, n_max: int = 8) -> IdentityReport:
+    """Box-volume ratios against the coefficient triangle."""
+    points = _volume_points(hi, n_max)
+    return sweep("volume-oracle", f"p, q in [1..{hi}]", (n_max, n_max), ("p", "q", "n", "k"), points)
 
 
 def inverse_relation_reports(ps: tuple[int, ...] = (2, 3), n_max: int = 8) -> list[IdentityReport]:
     return [verify_inverse_relation(p_val, n_max) for p_val in ps]
 
 
-IDENTITY_SUITES = (
-    "routes",
-    "gf",
-    "binomial",
-    "orthogonality",
-    "vandermonde",
-    "equal1",
-    "inversion",
-    "fibonomial",
-    "specializations",
-)
+def _given(**bounds: int | None) -> dict[str, int]:
+    """The bounds that were given; each suite's own default fills the rest."""
+    return {name: value for name, value in bounds.items() if value is not None}
 
-ORACLE_SUITES = ("selections", "bipartite", "dag", "volume", "inverse-relation")
+
+def _capped(n_max: int | None, cap: int) -> dict[str, int]:
+    return {} if n_max is None else {"n_max": min(n_max, cap)}
+
+
+_IDENTITY_CALLS = {
+    "routes": lambda grid, n, order: [routes_suite(grid, **_given(n_max=n))],
+    "gf": lambda grid, n, order: [gf_suite(grid, **_given(n_max=n, order=order))],
+    "binomial": lambda grid, n, order: [binomial_suite(**_given(n_max=n))],
+    "orthogonality": lambda grid, n, order: [orthogonality_suite(grid, **_given(n_max=n, s_max=n))],
+    "vandermonde": lambda grid, n, order: [vandermonde_suite(grid, **_given(nm_max=n))],
+    "equal1": lambda grid, n, order: [equal1_suite(grid, **_given(k_max=n))],
+    "inversion": lambda grid, n, order: [inversion_suite(grid, **_given(order=n))],
+    "fibonomial": lambda grid, n, order: fibonomial_reports(**_given(n_max=n)),
+    "specializations": lambda grid, n, order: [specialization_suite(**_given(n_max=n))],
+}
+
+_ORACLE_CALLS = {
+    "selections": lambda n: [selections_oracle_suite(**_capped(n, 8))],
+    "bipartite": lambda n: [bipartite_oracle_suite(**_capped(n, 5))],
+    "dag": lambda n: [dag_oracle_suite(**_capped(n, 4))],
+    "volume": lambda n: [volume_oracle_suite(**_capped(n, 8))],
+    "inverse-relation": lambda n: inverse_relation_reports(**_capped(n, 8)),
+}
+
+IDENTITY_SUITES = tuple(_IDENTITY_CALLS)
+
+ORACLE_SUITES = tuple(_ORACLE_CALLS)
 
 
 def run_verify(
@@ -488,48 +438,21 @@ def run_verify(
     n_max: int | None = None,
     order: int | None = None,
 ) -> list[IdentityReport]:
-    """Run one named identity suite (or all of them) and collect reports."""
+    """Run one named identity suite (or all of them) and collect reports;
+    a bound left as None takes the suite's default."""
     if identity == "all":
-        reports = []
-        for name in IDENTITY_SUITES:
-            reports.extend(run_verify(name, grid, n_max, order))
-        return reports
-    if identity == "routes":
-        return [routes_suite(grid, n_max or 12)]
-    if identity == "gf":
-        return [gf_suite(grid, n_max or 8, order or 10)]
-    if identity == "binomial":
-        return [binomial_suite(n_max or 7)]
-    if identity == "orthogonality":
-        return [orthogonality_suite(grid, n_max or 8, n_max or 8)]
-    if identity == "vandermonde":
-        return [vandermonde_suite(grid, n_max or 5)]
-    if identity == "equal1":
-        return [equal1_suite(grid, n_max or 8)]
-    if identity == "inversion":
-        return [inversion_suite(grid, n_max or 8)]
-    if identity == "fibonomial":
-        return fibonomial_reports(n_max=n_max or 10)
-    if identity == "specializations":
-        return [specialization_suite(n_max or 8)]
-    raise ValueError(f"unknown identity suite {identity!r}")
+        return [report for name in IDENTITY_SUITES for report in run_verify(name, grid, n_max, order)]
+    if identity not in _IDENTITY_CALLS:
+        raise ValueError(f"unknown identity suite {identity!r}")
+    return _IDENTITY_CALLS[identity](grid, n_max, order)
 
 
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:
-    """Run one named oracle cross-check (or all of them)."""
+    """Run one named oracle cross-check (or all of them); ``n_max`` None
+    takes each oracle's default, and larger values are capped at what the
+    brute-force counters accept."""
     if which == "all":
-        reports = []
-        for name in ORACLE_SUITES:
-            reports.extend(run_oracle(name, n_max))
-        return reports
-    if which == "selections":
-        return [selections_oracle_suite(n_max=min(n_max or 8, 8))]
-    if which == "bipartite":
-        return [bipartite_oracle_suite(n_max=min(n_max or 5, 5))]
-    if which == "dag":
-        return [dag_oracle_suite(n_max or 4)]
-    if which == "volume":
-        return [volume_oracle_suite(n_max=min(n_max or 8, 8))]
-    if which == "inverse-relation":
-        return inverse_relation_reports(n_max=min(n_max or 8, 8))
-    raise ValueError(f"unknown oracle suite {which!r}")
+        return [report for name in ORACLE_SUITES for report in run_oracle(name, n_max)]
+    if which not in _ORACLE_CALLS:
+        raise ValueError(f"unknown oracle suite {which!r}")
+    return _ORACLE_CALLS[which](n_max)

@@ -22,6 +22,8 @@ from tnomial.suites import (
     inversion_suite,
     orthogonality_suite,
     routes_suite,
+    run_oracle,
+    run_verify,
     selections_oracle_suite,
     specialization_suite,
     vandermonde_suite,
@@ -40,7 +42,13 @@ def _criterion(number: int, label: str, reports: list[IdentityReport], extra_ok:
 
 
 def test_criterion_01_route_agreement():
-    _criterion(1, "five routes agree, p and q in [-2, 4], n <= 12", [routes_suite(n_max=12)])
+    report = routes_suite(n_max=12)
+    _criterion(
+        1,
+        "five routes agree, p and q in [-2, 4], n <= 12, at least 24,000 comparisons",
+        [report],
+        extra_ok=report.checked >= 24_000,
+    )
 
 
 def test_criterion_02_generating_function_coherence():
@@ -102,4 +110,14 @@ def test_criterion_10_specializations():
         10,
         "pascal, gaussian and scale specializations",
         [specialization_suite(n_max=8)],
+    )
+
+
+def test_criterion_11_every_report_compared_points():
+    reports = run_verify("all") + run_oracle("all")
+    _criterion(
+        11,
+        "every default identity and oracle report compared at least one point",
+        reports,
+        extra_ok=all(report.checked >= 1 for report in reports),
     )

@@ -94,6 +94,13 @@ class TestCoeff:
         assert rc == 2
         assert "partial fractions" in err
 
+    def test_zero_scale_rejected(self, capsys):
+        rc, _, err = run_cli(
+            "coeff", "--p", "2", "--q", "3", "--scale", "0", "--n", "4", "--k", "2", capsys=capsys
+        )
+        assert rc == 2
+        assert "scale" in err
+
 
 class TestTable:
     def test_pascal_plain(self, capsys):
@@ -163,8 +170,11 @@ class TestVerify:
         )
         assert rc == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["identity", "params", "n_max", "k_max", "status", "counterexample", "notes"]
+        assert rows[0] == [
+            "identity", "params", "n_max", "k_max", "status", "counterexample", "notes", "checked"
+        ]
         assert rows[1][4] == "holds"
+        assert int(rows[1][7]) > 0
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = make_report("demo", "grid", (1, 1), {"n": 0, "lhs": 1, "rhs": 2})
@@ -198,6 +208,36 @@ class TestVerify:
         rc, _, err = run_cli("verify", "--identity", "routes", "--p", "2", capsys=capsys)
         assert rc == 2
         assert "together" in err
+
+    def test_explicit_zero_bound_honoured(self, capsys):
+        rc, out, _ = run_cli(
+            "verify", "--identity", "routes", "--p", "2", "--q", "3", "--max", "0", capsys=capsys
+        )
+        assert rc == 0
+        assert "n_max=0," in out
+        assert "HOLDS" in out
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--max", "-1"), ("verify", "--order", "-1"), ("oracle", "--max", "-1")]
+    )
+    def test_negative_bounds_rejected(self, argv, capsys):
+        rc, out, err = run_cli(*argv, capsys=capsys)
+        assert rc == 2
+        assert "nonnegative" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--identity", "equal1", "--p", "0", "--q", "0"),
+            ("--identity", "binomial", "--max", "0"),
+        ],
+    )
+    def test_nothing_compared_is_vacuous(self, argv, capsys):
+        rc, out, _ = run_cli("verify", *argv, capsys=capsys)
+        assert rc == 1
+        assert "VACUOUS" in out
+        assert "checked=0" in out
 
     def test_unknown_identity_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

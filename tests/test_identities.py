@@ -138,6 +138,13 @@ class TestFibonomial:
         assert fibonomial_suite(1, 10).holds
         assert fibonomial_suite(2, 8).holds
 
+    def test_suite_bounds(self):
+        assert fibonomial_suite(1, 0).status == "vacuous"
+        with pytest.raises(ValueError):
+            fibonomial_suite(1, -1)
+        with pytest.raises(ValueError):
+            fibonomial_suite(0, 3)
+
     def test_root_difference_closed_form(self):
         # t**n - (alpha - t)**n collapses to f(n) * (2t - alpha)
         for alpha in (1, 2, 3):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 from math import comb
 
 import pytest
 
+from tnomial import oracles
 from tnomial.errors import BudgetExceededError, SingularMatrixError
 from tnomial.identities import alpha_fibonacci
 from tnomial.oracles import (
@@ -196,3 +199,25 @@ class TestInverseRelation:
             verify_inverse_relation(1, 4)
         with pytest.raises(ValueError):
             verify_inverse_relation(2, 9)
+
+
+def _module_level_imports(nodes):
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        yield from _module_level_imports(ast.iter_child_nodes(node))
+
+
+def test_oracles_import_nothing_from_coefficients_at_module_level():
+    """Agreement between an oracle and a formula route is evidence only if
+    the oracle module does not load the formulas itself."""
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imports = list(_module_level_imports(tree.body))
+    assert imports, "the guard found no imports at all"
+    for node in imports:
+        modules = [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{name}" if node.module else name for name in modules]
+        assert not any("coefficients" in module.split(".") for module in modules), ast.unparse(node)

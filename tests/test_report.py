@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tnomial.report import IdentityReport, make_report
+from tnomial.report import IdentityReport, make_report, sweep
 
 
 def test_status_counterexample_consistency():
@@ -36,3 +36,49 @@ def test_holds_report_serializes_null_counterexample():
     d = make_report("x", "grid", (1, 1)).to_dict()
     assert d["counterexample"] is None
     assert d["status"] == "holds"
+
+
+def test_vacuous_status_invariants():
+    vacuous = IdentityReport("x", "grid", (0, 0), "vacuous")
+    assert not vacuous.holds
+    assert vacuous.to_dict()["checked"] == "0"
+    with pytest.raises(ValueError):
+        IdentityReport("x", "grid", (0, 0), "vacuous", checked=3)
+    with pytest.raises(ValueError):
+        IdentityReport("x", "grid", (0, 0), "holds", checked=0)
+    with pytest.raises(ValueError):
+        IdentityReport("x", "grid", (0, 0), "fails", {"n": 1}, checked=0)
+    assert make_report("x", "grid", (0, 0), checked=0).status == "vacuous"
+
+
+def test_sweep_counts_every_compared_pair():
+    points = [(n, k, n * k, k * n) for n in range(3) for k in range(3)]
+    report = sweep("x", "grid", (2, 2), ("n", "k"), points)
+    assert report.holds
+    assert report.checked == 9
+    assert report.to_dict()["checked"] == "9"
+
+
+def test_sweep_stops_at_first_mismatch():
+    def points():
+        yield 0, "a", 1, 1
+        yield 1, "b", 2, 3
+        raise AssertionError("sweep went past the first mismatch")
+
+    report = sweep("x", "grid", (1, 1), ("n", "case"), points(), ("note",))
+    assert report.status == "fails"
+    assert report.checked == 2
+    assert report.first_counterexample == {"n": 1, "case": "b", "lhs": 2, "rhs": 3}
+    assert report.notes == ("note",)
+
+
+def test_sweep_short_location_leaves_trailing_keys_out():
+    report = sweep("x", "grid", (1, 1), ("n", "k"), [(4, "lhs", "rhs")])
+    assert report.first_counterexample == {"n": 4, "lhs": "lhs", "rhs": "rhs"}
+
+
+def test_sweep_over_nothing_is_vacuous():
+    report = sweep("x", "grid", (0, 0), ("n",), iter(()))
+    assert report.status == "vacuous"
+    assert report.checked == 0
+    assert not report.holds
