@@ -33,6 +33,7 @@ from .coefficients import (
     coeff_symbolic,
     multinomial,
     set_cache_limit,
+    triangle_rows,
 )
 from .errors import (
     BudgetExceededError,
@@ -156,6 +157,7 @@ __all__ = [
     "term_factorial",
     "term_sum",
     "term_symbolic",
+    "triangle_rows",
     "vandermonde",
     "vandermonde_terms",
     "verify_inverse_relation",

@@ -8,9 +8,9 @@ structured output is rendered as a decimal string so that parsing and
 re-serializing is byte-identical.
 
 Exit status: 0 when everything computed or verified cleanly, 1 when a
-verify or oracle sweep found a counterexample or compared nothing, 2 for
-unusable arguments (including routes undefined at the requested
-parameters).
+verify or oracle sweep found a counterexample or compared nothing, or
+when the reader of standard output went away, 2 for unusable arguments
+(including routes undefined at the requested parameters).
 """
 
 from __future__ import annotations
@@ -19,15 +19,17 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from typing import Iterable
 
-from .coefficients import ROUTE_NAMES, coeff_recurrence, coeff_route, coeff_symbolic
+from .coefficients import ROUTE_NAMES, coeff_route, coeff_symbolic, triangle_rows
 from .errors import (
     DegenerateParametersError,
     DivisibilityError,
     ParameterMismatchError,
 )
-from .report import IdentityReport
+from .report import IdentityReport, decimal_str
 from .sequences import SeqParams
 from .suites import (
     IDENTITY_SUITES,
@@ -54,7 +56,7 @@ def _dump_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _dump_csv(header: tuple[str, ...], rows: list[tuple]) -> str:
+def _dump_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(header)
@@ -99,41 +101,42 @@ def _cmd_coeff(args: argparse.Namespace, out) -> int:
             "q": str(params.q),
             "route": args.route,
             "scale": str(params.scale),
-            "value": str(value),
+            "value": decimal_str(value),
         }
         _emit(_dump_json(payload), out)
     elif args.format == "csv":
-        _emit(_dump_csv(TABLE_COLUMNS, [(args.n, args.k, params.p, params.q, value)]), out)
+        _emit(_dump_csv(TABLE_COLUMNS, [(args.n, args.k, params.p, params.q, decimal_str(value))]), out)
     else:
-        _emit(str(value), out)
+        _emit(decimal_str(value), out)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace, out) -> int:
     params = _params_from(args)
     _check_bounds(args)
-    rows = [
-        [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(args.max + 1)
-    ]
+    rows = list(triangle_rows(params, args.max))
     if args.format == "json":
         payload = {
             "p": str(params.p),
             "q": str(params.q),
-            "rows": [[str(value) for value in row] for row in rows],
+            "rows": [[decimal_str(value) for value in row] for row in rows],
             "scale": str(params.scale),
         }
         _emit(_dump_json(payload), out)
     elif args.format == "csv":
-        flat = [
-            (n, k, params.p, params.q, rows[n][k])
-            for n in range(args.max + 1)
-            for k in range(n + 1)
-        ]
+        flat = (
+            (n, k, params.p, params.q, decimal_str(value))
+            for n, row in enumerate(rows)
+            for k, value in enumerate(row)
+        )
         _emit(_dump_csv(TABLE_COLUMNS, flat), out)
     else:
-        width = max(len(str(value)) for row in rows for value in row)
+        # The widest cell holds the largest or the most negative value.
+        largest = max(max(row) for row in rows)
+        smallest = min(min(row) for row in rows)
+        width = max(len(decimal_str(largest)), len(decimal_str(smallest)))
         for n, row in enumerate(rows):
-            cells = " ".join(str(value).rjust(width) for value in row)
+            cells = " ".join(decimal_str(value).rjust(width) for value in row)
             _emit(f"n={n:<2d} {cells}", out)
     return 0
 
@@ -146,7 +149,7 @@ def _report_lines(report: IdentityReport) -> list[str]:
     )
     lines = [head]
     if report.first_counterexample is not None:
-        pairs = ", ".join(f"{key}={value}" for key, value in report.first_counterexample.items())
+        pairs = ", ".join(f"{key}={decimal_str(value)}" for key, value in report.first_counterexample.items())
         lines.append(f"  counterexample: {pairs}")
     for note in report.notes:
         lines.append(f"  note: {note}")
@@ -193,6 +196,8 @@ def _verify_grid(args: argparse.Namespace) -> list[tuple[int, int]] | None:
 def _cmd_verify(args: argparse.Namespace, out) -> int:
     grid = _verify_grid(args)
     _check_bounds(args)
+    if args.order is not None and args.identity not in ("gf", "all"):
+        raise UsageError("--order only applies to the gf suite")
     if args.alpha is not None:
         if args.identity != "fibonomial":
             raise UsageError("--alpha only applies to the fibonomial suite")
@@ -279,7 +284,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args, sys.stdout)
+        status = args.handler(args, sys.stdout)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered cannot fail too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (
         UsageError,
         DegenerateParametersError,

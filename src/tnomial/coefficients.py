@@ -21,6 +21,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, exact_div
@@ -59,18 +60,48 @@ def _next_row(prev: list[int], p: int, q: int) -> list[int]:
     return row
 
 
-def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
-    """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k)."""
-    _check_indices(n, k)
-    p, q = params.p, params.q
+def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
+    """The memoized rows of the (p, q) triangle, extended under ``_lock`` up
+    to row min(n, cache limit), and the index of the highest one <= n.
+
+    The rows list is shared and only ever appended to, so indices up to the
+    returned one stay valid outside the lock; callers must not mutate it.
+    """
     with _lock:
         rows = _numeric_rows.setdefault((p, q), [[1]])
         while len(rows) - 1 < min(n, _cache_limit):
             rows.append(_next_row(rows[-1], p, q))
-        row = rows[min(n, len(rows) - 1)]
+        return rows, min(n, len(rows) - 1)
+
+
+def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
+    """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k)."""
+    _check_indices(n, k)
+    p, q = params.p, params.q
+    rows, top = _cached_rows(p, q, n)
+    row = rows[top]
     while len(row) - 1 < n:
         row = _next_row(row, p, q)
     return row[k]
+
+
+def triangle_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
+    """Rows 0..n_max of the triangle, in order, by the same recurrence.
+
+    Rows within the cache limit come from the memoized rows; each row past
+    it is built once from the row before, so the cost is linear in the rows
+    yielded.  The yielded lists may be shared with the cache: do not mutate
+    them.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    p, q = params.p, params.q
+    rows, top = _cached_rows(p, q, n_max)
+    yield from rows[: top + 1]
+    row = rows[top]
+    for _ in range(top, n_max):
+        row = _next_row(row, p, q)
+        yield row
 
 
 def _next_row_symbolic(prev: list[BiPoly]) -> list[BiPoly]:

@@ -4,7 +4,29 @@ and the one exact comparison driver that produces it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
+
+
+def decimal_str(value: object) -> str:
+    """``str(value)``, also for integers (and fractions of them) past the
+    interpreter's limit on int-to-str digits.
+
+    Such an integer is split by a power of ten into halves that are
+    rendered the same way; no interpreter-wide setting is changed.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            return f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
+        if not isinstance(value, int):
+            raise
+    if value < 0:
+        return "-" + decimal_str(-value)
+    half = value.bit_length() * 3 // 20
+    high, low = divmod(value, 10**half)
+    return decimal_str(high) + decimal_str(low).zfill(half)
 
 
 @dataclass(frozen=True)
@@ -47,7 +69,7 @@ class IdentityReport:
         """JSON-friendly dict with every number rendered as a decimal string."""
         ce = None
         if self.first_counterexample is not None:
-            ce = {key: str(value) for key, value in self.first_counterexample.items()}
+            ce = {key: decimal_str(value) for key, value in self.first_counterexample.items()}
         return {
             "identity": self.identity_id,
             "params": self.params,

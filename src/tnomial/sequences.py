@@ -83,10 +83,21 @@ def term_factorial(params: SeqParams, n: int) -> int:
     """Product of the first n terms; the empty product for n = 0."""
     if n < 0:
         raise ValueError("term index must be nonnegative")
-    out = 1
-    for i in range(1, n + 1):
-        out *= term_closed(params, i)
-    return out
+    return _term_product(params, 1, n + 1)
+
+
+def _term_product(params: SeqParams, lo: int, hi: int) -> int:
+    """Product of the terms lo..hi-1 as a balanced tree of halves, so that
+    the big multiplications pair operands of similar size.  Leaves of up to
+    16 terms are multiplied in order, which keeps short products as cheap
+    as a plain loop."""
+    if hi - lo <= 16:
+        out = 1
+        for i in range(lo, hi):
+            out *= term_closed(params, i)
+        return out
+    mid = (lo + hi) // 2
+    return _term_product(params, lo, mid) * _term_product(params, mid, hi)
 
 
 def gf_coefficients(params: SeqParams, count: int) -> list[int]:

@@ -10,8 +10,10 @@ import sys
 
 import pytest
 
-from tnomial import cli
+from tnomial import cli, coefficients
+from tnomial.coefficients import coeff_factorial, coeff_recurrence, set_cache_limit
 from tnomial.report import make_report
+from tnomial.sequences import SeqParams
 
 
 def run_cli(*argv, capsys=None):
@@ -94,6 +96,29 @@ class TestCoeff:
         assert rc == 2
         assert "partial fractions" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_value_past_int_str_limit(self, fmt, capsys):
+        rc, out, err = run_cli(
+            "coeff", "--p", "2", "--q", "3", "--n", "200", "--k", "100",
+            "--route", "factorial", "--format", fmt, capsys=capsys,
+        )
+        assert (rc, err) == (0, "")
+        value = coeff_factorial(SeqParams(2, 3), 200, 100)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(expected) > limit
+        if fmt == "json":
+            assert json.loads(out)["value"] == expected
+        elif fmt == "csv":
+            assert list(csv.reader(io.StringIO(out)))[1][4] == expected
+        else:
+            assert out == expected + "\n"
+
     def test_zero_scale_rejected(self, capsys):
         rc, _, err = run_cli(
             "coeff", "--p", "2", "--q", "3", "--scale", "0", "--n", "4", "--k", "2", capsys=capsys
@@ -134,6 +159,62 @@ class TestTable:
         assert rc == 0
         parsed = json.loads(out)
         assert parsed["rows"][3] == ["1", "19", "19", "1"]
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_rows_past_cache_limit_match_entries(self, fmt, capsys, monkeypatch):
+        params = SeqParams(-3, 2)
+        monkeypatch.delitem(coefficients._numeric_rows, (-3, 2), raising=False)
+        set_cache_limit(4)
+        try:
+            rc, out, _ = run_cli(
+                "table", "--p", "-3", "--q", "2", "--max", "9", "--format", fmt, capsys=capsys
+            )
+            expected = [
+                [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(10)
+            ]
+        finally:
+            set_cache_limit(128)
+        assert rc == 0
+        if fmt == "json":
+            rows = json.loads(out)["rows"]
+        elif fmt == "csv":
+            rows = [[] for _ in range(10)]
+            for n, _, _, _, value in list(csv.reader(io.StringIO(out)))[1:]:
+                rows[int(n)].append(value)
+        else:
+            rows = [line.split()[1:] for line in out.splitlines()]
+        assert [[int(value) for value in row] for row in rows] == expected
+
+    def test_builds_each_row_once(self, capsys, monkeypatch):
+        built = []
+        next_row = coefficients._next_row
+
+        def counting_next_row(prev, p, q):
+            built.append(len(prev))
+            return next_row(prev, p, q)
+
+        monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
+        monkeypatch.delitem(coefficients._numeric_rows, (5, -7), raising=False)
+        set_cache_limit(4)
+        try:
+            rc, _, _ = run_cli("table", "--p", "5", "--q", "-7", "--max", "20", capsys=capsys)
+        finally:
+            set_cache_limit(128)
+        assert rc == 0
+        assert built == list(range(1, 21))
+
+    def test_plain_width_from_most_negative_cell(self, capsys):
+        # at (-3, 1) the widest cell, -15860, is the smallest value, not the largest
+        params = SeqParams(-3, 1)
+        rc, out, _ = run_cli("table", "--p", "-3", "--q", "1", "--max", "6", capsys=capsys)
+        assert rc == 0
+        rows = [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(7)]
+        width = max(len(str(value)) for row in rows for value in row)
+        assert width == len("-15860")
+        assert out == "".join(
+            f"n={n:<2d} " + " ".join(str(value).rjust(width) for value in row) + "\n"
+            for n, row in enumerate(rows)
+        )
 
     def test_negative_max_rejected(self, capsys):
         rc, _, err = run_cli("table", "--p", "1", "--q", "1", "--max", "-1", capsys=capsys)
@@ -204,6 +285,21 @@ class TestVerify:
         assert rc == 0
         assert "HOLDS" in out
 
+    def test_order_requires_gf(self, capsys):
+        rc, out, err = run_cli(
+            "verify", "--identity", "routes", "--p", "2", "--q", "3", "--order", "3", capsys=capsys
+        )
+        assert rc == 2
+        assert "--order" in err
+        assert out == ""
+
+    def test_order_with_gf(self, capsys):
+        rc, out, _ = run_cli(
+            "verify", "--identity", "gf", "--p", "2", "--q", "3", "--order", "3", capsys=capsys
+        )
+        assert rc == 0
+        assert "k_max=3," in out
+
     def test_half_specified_grid_rejected(self, capsys):
         rc, _, err = run_cli("verify", "--identity", "routes", "--p", "2", capsys=capsys)
         assert rc == 2
@@ -273,3 +369,24 @@ def test_console_script_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "247\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--identity", "vandermonde", "--format", "json"),
+        # about 170 kB, more than a pipe buffer holds, so the write must fail
+        ("table", "--p", "2", "--q", "3", "--max", "40"),
+    ],
+)
+def test_closed_pipe_ends_without_traceback(argv):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tnomial.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(16)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert proc.returncode in (0, 1, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 from math import comb, prod
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tnomial import coefficients
 from tnomial.coefficients import (
     ROUTE_NAMES,
     box_weights,
@@ -24,6 +26,7 @@ from tnomial.coefficients import (
     coeff_symbolic,
     multinomial,
     set_cache_limit,
+    triangle_rows,
 )
 from tnomial.errors import DegenerateParametersError, DivisibilityError
 from tnomial.sequences import SeqParams, term_factorial
@@ -235,6 +238,30 @@ class TestErrorsAndCache:
             assert coeff_symbolic(9, 4).eval(2, 3) == coeff_factorial(params_23, 9, 4)
         finally:
             set_cache_limit(128)
+
+    def test_triangle_rows_across_cache_limit(self, monkeypatch):
+        params = SeqParams(-3, 5)
+        monkeypatch.delitem(coefficients._numeric_rows, (-3, 5), raising=False)
+        set_cache_limit(4)
+        try:
+            assert list(triangle_rows(params, 4)) == [
+                [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(5)
+            ]
+            cached = coefficients._numeric_rows[(-3, 5)]
+            snapshot = copy.deepcopy(cached)
+            rows = list(triangle_rows(params, 12))
+            assert rows == [
+                [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(13)
+            ]
+            assert cached == snapshot
+            assert len(cached) == 5
+        finally:
+            set_cache_limit(128)
+
+    def test_triangle_rows_validation(self):
+        assert list(triangle_rows(params_23, 0)) == [[1]]
+        with pytest.raises(ValueError):
+            list(triangle_rows(params_23, -1))
 
     def test_multinomial_validation(self):
         with pytest.raises(ValueError):

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+import sys
+from fractions import Fraction
+
 import pytest
 
-from tnomial.report import IdentityReport, make_report, sweep
+from tnomial.report import IdentityReport, decimal_str, make_report, sweep
+
+
+def lifted_str(value) -> str:
+    """``str(value)`` with the int-to-str digit limit lifted for the call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+)
 
 
 def test_status_counterexample_consistency():
@@ -82,3 +100,26 @@ def test_sweep_over_nothing_is_vacuous():
     assert report.status == "vacuous"
     assert report.checked == 0
     assert not report.holds
+
+
+@pytest.mark.parametrize("value", [0, -7, 10**40, Fraction(-1, 6), "p^2 + q", True])
+def test_decimal_str_is_str_below_the_limit(value):
+    assert decimal_str(value) == str(value)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize(
+    "value",
+    [
+        3**20000,
+        -(10**9000),
+        10**9000 + 1,
+        Fraction(7**6000, 11**5000),
+        Fraction(-(5**8000), 3),
+    ],
+    ids=["power", "negative", "inner-zeros", "fraction", "negative-fraction"],
+)
+def test_decimal_str_past_the_limit(value):
+    assert decimal_str(value) == lifted_str(value)
+    huge = make_report("x", "grid", (1, 1), {"n": 1, "lhs": value, "rhs": 0})
+    assert huge.to_dict()["counterexample"]["lhs"] == lifted_str(value)

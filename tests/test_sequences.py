@@ -68,6 +68,14 @@ class TestTerms:
         assert term_factorial(params_23, 0) == 1
         assert term_factorial(params_23, 4) == 1 * 5 * 19 * 65
 
+    @pytest.mark.parametrize("pq", [(0, 0), (2, -2), (3, 3), (-2, 3), (2, 3), (-1, 1)])
+    def test_factorial_equals_sequential_product(self, pq):
+        params = SeqParams(*pq)
+        sequential = 1
+        for n in range(41):
+            assert term_factorial(params, n) == sequential
+            sequential *= term_closed(params, n + 1)
+
     def test_factorial_scale(self):
         assert term_factorial(SeqParams(2, 3, scale=2), 3) == (2 * 1) * (2 * 5) * (2 * 19)
 
