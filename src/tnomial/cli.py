@@ -111,26 +111,31 @@ def _cmd_coeff(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _write_table_json(params: SeqParams, rows: Iterable[list[int]], out) -> None:
+    """Write, one row at a time, the bytes that _emit(_dump_json(payload))
+    gives for the payload {"p", "q", "rows", "scale"} of decimal strings."""
+    out.write(f'{{\n  "p": {json.dumps(str(params.p))},\n  "q": {json.dumps(str(params.q))},\n  "rows": [')
+    separator = "\n"
+    for row in rows:
+        cells = ",\n      ".join(json.dumps(decimal_str(value)) for value in row)
+        out.write(f"{separator}    [\n      {cells}\n    ]")
+        separator = ",\n"
+    out.write(f'\n  ],\n  "scale": {json.dumps(str(params.scale))}\n}}\n')
+
+
 def _cmd_table(args: argparse.Namespace, out) -> int:
     params = _params_from(args)
     _check_bounds(args)
-    rows = list(triangle_rows(params, args.max))
+    rows = triangle_rows(params, args.max)
     if args.format == "json":
-        payload = {
-            "p": str(params.p),
-            "q": str(params.q),
-            "rows": [[decimal_str(value) for value in row] for row in rows],
-            "scale": str(params.scale),
-        }
-        _emit(_dump_json(payload), out)
+        _write_table_json(params, rows, out)
     elif args.format == "csv":
-        flat = (
-            (n, k, params.p, params.q, decimal_str(value))
-            for n, row in enumerate(rows)
-            for k, value in enumerate(row)
-        )
-        _emit(_dump_csv(TABLE_COLUMNS, flat), out)
+        writer = csv.writer(out)
+        writer.writerow(TABLE_COLUMNS)
+        for n, row in enumerate(rows):
+            writer.writerows((n, k, params.p, params.q, decimal_str(value)) for k, value in enumerate(row))
     else:
+        rows = list(rows)
         # The widest cell holds the largest or the most negative value.
         largest = max(max(row) for row in rows)
         smallest = min(min(row) for row in rows)

@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, exact_div
-from .sequences import SeqParams, compositions_of, term_factorial
+from .sequences import SeqParams, term_factorial
 
 _lock = threading.Lock()
 _numeric_rows: dict[tuple[int, int], list[list[int]]] = {}
@@ -76,6 +76,11 @@ def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
 
 def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
     """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k)."""
+    # A cached row is read without the lock: rows are only appended, whole and
+    # under _lock, so a stale len(rows) just sends the call to the path below.
+    rows = _numeric_rows.get((params.p, params.q))
+    if rows is not None and 0 <= k <= n < len(rows):
+        return rows[n][k]
     _check_indices(n, k)
     p, q = params.p, params.q
     rows, top = _cached_rows(p, q, n)
@@ -264,21 +269,30 @@ def multinomial(params: SeqParams, n: int, parts: tuple[int, ...]) -> int:
 def coeff_inverse(params: SeqParams, n: int, k: int) -> int:
     """Entry (n, k) of the inverse of the lower-triangular matrix [C(n, k)].
 
-    Computed as C(n, k) times the alternating sum, over all compositions
-    (i_1, ..., i_s) of n - k, of (-1)**s * C(n - k; i_1, ..., i_s); the
-    diagonal entry is 1.  Multiplying the resulting triangle against the
+    The entry is C(n, k) * a(n - k), where a(r) is the alternating sum, over
+    all compositions (i_1, ..., i_s) of r, of (-1)**s * C(r; i_1, ..., i_s);
+    the diagonal entry is 1.  Multiplying the resulting triangle against the
     coefficient triangle gives the identity matrix on either side.
+
+    The sum is grouped by its first part i: since C(r; i, i_2, ...) =
+    C(r, i) * C(r - i; i_2, ...) and the remaining parts run over all
+    compositions of r - i with one sign flip, a(0) = 1 and
+    a(m) = -sum over i = 1..m of C(m, i) * a(m - i).  That takes O(r**2)
+    products over rows 0..r and row n of one pass of the triangle, where the
+    composition sum has 2**(r-1) terms.
     """
     _check_indices(n, k)
     if k == n:
         return 1
     r = n - k
-    alternating = 0
-    for s in range(1, r + 1):
-        sign = -1 if s % 2 else 1
-        for composition in compositions_of(r, s):
-            alternating += sign * multinomial(params, r, composition.parts)
-    return coeff_recurrence(params, n, k) * alternating
+    low: list[list[int]] = []
+    for row in triangle_rows(params, n):
+        if len(low) <= r:
+            low.append(row)
+    a = [1]
+    for m in range(1, r + 1):
+        a.append(-sum(low[m][i] * a[m - i] for i in range(1, m + 1)))
+    return row[k] * a[r]  # row is row n, the last one yielded
 
 
 ROUTE_NAMES = (

@@ -200,11 +200,6 @@ class TriMatrix:
     def order(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        if not 0 <= i < self.order or not 0 <= j < self.order:
-            raise IndexError(f"entry ({i}, {j}) outside order {self.order}")
-        return self.rows[i][j] if j <= i else Fraction(0)
-
     @classmethod
     def identity(cls, order: int) -> TriMatrix:
         return cls(tuple(tuple(Fraction(int(i == j)) for j in range(i + 1)) for i in range(order)))

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from tnomial import cli, coefficients
-from tnomial.coefficients import coeff_factorial, coeff_recurrence, set_cache_limit
+from tnomial.coefficients import coeff_factorial, coeff_recurrence, set_cache_limit, triangle_rows
 from tnomial.report import make_report
 from tnomial.sequences import SeqParams
 
@@ -184,6 +184,27 @@ class TestTable:
         else:
             rows = [line.split()[1:] for line in out.splitlines()]
         assert [[int(value) for value in row] for row in rows] == expected
+
+    @pytest.mark.parametrize("n_max", (0, 1, 7))
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_streamed_bytes_match_whole_document(self, fmt, n_max, capsys, monkeypatch):
+        monkeypatch.delitem(coefficients._numeric_rows, (-3, 2), raising=False)
+        set_cache_limit(4)
+        try:
+            rc, out, _ = run_cli(
+                "table", "--p", "-3", "--q", "2", "--scale", "2", "--max", str(n_max), "--format", fmt,
+                capsys=capsys,
+            )
+            rows = list(triangle_rows(SeqParams(-3, 2), n_max))
+        finally:
+            set_cache_limit(128)
+        assert rc == 0
+        if fmt == "json":
+            payload = {"p": "-3", "q": "2", "rows": [[str(value) for value in row] for row in rows], "scale": "2"}
+            assert out == cli._dump_json(payload) + "\n"
+        else:
+            flat = ((n, k, -3, 2, str(value)) for n, row in enumerate(rows) for k, value in enumerate(row))
+            assert out == cli._dump_csv(cli.TABLE_COLUMNS, flat)
 
     def test_builds_each_row_once(self, capsys, monkeypatch):
         built = []

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import itertools
+import sys
+import threading
 from fractions import Fraction
 from math import comb, prod
 
@@ -29,7 +31,9 @@ from tnomial.coefficients import (
     triangle_rows,
 )
 from tnomial.errors import DegenerateParametersError, DivisibilityError
-from tnomial.sequences import SeqParams, term_factorial
+from tnomial.oracles import TriMatrix, invert_triangular
+from tnomial.sequences import SeqParams, compositions_of, term_factorial
+from tnomial.suites import pq_grid
 
 params_23 = SeqParams(2, 3)
 
@@ -43,6 +47,18 @@ def brute_subset_sum(weights, k):
 
 def brute_multiset_sum(weights, k):
     return sum(prod(combo) for combo in itertools.combinations_with_replacement(weights, k))
+
+
+def composition_sum_inverse(params, n, k):
+    """The inverse entry as the literal sum over the 2**(n-k-1) compositions
+    of n - k; capped, because the count doubles with every row."""
+    r = n - k
+    assert r <= 10, "the literal composition sum is a small-case reference"
+    alternating = 1 if r == 0 else 0
+    for s in range(1, r + 1):
+        for composition in compositions_of(r, s):
+            alternating += (-1) ** s * multinomial(params, r, composition.parts)
+    return coeff_recurrence(params, n, k) * alternating
 
 
 class TestFrozenValues:
@@ -75,6 +91,47 @@ class TestFrozenValues:
     def test_multinomial(self):
         assert multinomial(params_23, 3, (1, 1, 1)) == 95
         assert multinomial(params_23, 4, (2,)) == 247
+
+
+class TestInverseRoute:
+    def test_matches_composition_sum_on_default_grid(self):
+        # the default grid holds zero parameters, p == q and p == -q
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(11):
+                for k in range(n + 1):
+                    assert coeff_inverse(params, n, k) == composition_sum_inverse(params, n, k), (p, q, n, k)
+
+    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2)])
+    def test_matches_forward_substitution_past_cache_limit(self, pq):
+        params = SeqParams(*pq)
+        order = 30
+        set_cache_limit(4)
+        try:
+            triangle = TriMatrix(tuple(tuple(row) for row in triangle_rows(params, order - 1)))
+            got = [[coeff_inverse(params, n, k) for k in range(n + 1)] for n in range(order)]
+        finally:
+            set_cache_limit(128)
+        assert invert_triangular(triangle).rows == tuple(tuple(row) for row in got)
+
+    def test_one_pass_over_the_rows(self, monkeypatch):
+        built = []
+        next_row = coefficients._next_row
+
+        def counting_next_row(prev, p, q):
+            built.append(len(prev))
+            return next_row(prev, p, q)
+
+        monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
+        monkeypatch.delitem(coefficients._numeric_rows, (7, -5), raising=False)
+        set_cache_limit(4)
+        try:
+            # the composition sum would enumerate 2**39 compositions here
+            value = coeff_inverse(SeqParams(7, -5), 40, 0)
+        finally:
+            set_cache_limit(128)
+        assert built == list(range(1, 41))
+        assert value != 0
 
 
 class TestLambdaSumsAgainstEnumeration:
@@ -257,6 +314,44 @@ class TestErrorsAndCache:
             assert len(cached) == 5
         finally:
             set_cache_limit(128)
+
+    def test_cached_rows_still_validate_indices(self, monkeypatch):
+        params = SeqParams(6, -5)
+        monkeypatch.delitem(coefficients._numeric_rows, (6, -5), raising=False)
+        coeff_recurrence(params, 10, 0)
+        assert len(coefficients._numeric_rows[(6, -5)]) == 11
+        for n, k in ((5, -1), (5, 6), (-1, 0), (-1, -1)):
+            with pytest.raises(ValueError):
+                coeff_recurrence(params, n, k)
+
+    def test_concurrent_reads_of_a_fresh_pair(self, monkeypatch):
+        params = SeqParams(-7, 4)
+        monkeypatch.delitem(coefficients._numeric_rows, (-7, 4), raising=False)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        # past the cache limit every read rebuilds its row, so read a few columns
+        columns = [(n, k) for n in range(61) for k in sorted({0, n // 3, n // 2, n})]
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [coeff_recurrence(params, n, k) for n, k in columns]
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+        switch_interval = sys.getswitchinterval()
+        set_cache_limit(16)
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            set_cache_limit(128)
+        assert not any(thread.is_alive() for thread in threads)
+        rows = list(triangle_rows(params, 60))
+        assert results == [[rows[n][k] for n, k in columns]] * 4
 
     def test_triangle_rows_validation(self):
         assert list(triangle_rows(params_23, 0)) == [[1]]
