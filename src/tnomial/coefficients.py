@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 from typing import Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, exact_div
-from .sequences import SeqParams, term_factorial
+from .sequences import SeqParams, _term_product, term_factorial
 
 _lock = threading.Lock()
 _numeric_rows: dict[tuple[int, int], list[list[int]]] = {}
-_symbolic_rows: list[list[BiPoly]] = [[BiPoly.one()]]
+_symbolic_rows: list[list[list[int]]] = [[[1]]]
+_symbolic_entries: dict[tuple[int, int], BiPoly] = {}
 _cache_limit = 128
 
 
@@ -75,7 +77,15 @@ def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
 
 
 def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
-    """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k)."""
+    """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k).
+
+    Rows up to the cache limit are memoized whole.  Past the last cached
+    row m0, C(n, k) depends only on the entries (m, j) with j <= k and
+    m - j <= n - k, so each row m > m0 is built only in its window
+    j in [max(0, k - (n - m)), min(m, k)], in place and from the top down;
+    every entry the recurrence reads is either in the previous window or
+    one of the constant edges C(m, 0) = 1 and C(m - 1, m) = 0.
+    """
     # A cached row is read without the lock: rows are only appended, whole and
     # under _lock, so a stale len(rows) just sends the call to the path below.
     rows = _numeric_rows.get((params.p, params.q))
@@ -84,10 +94,12 @@ def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
     _check_indices(n, k)
     p, q = params.p, params.q
     rows, top = _cached_rows(p, q, n)
-    row = rows[top]
-    while len(row) - 1 < n:
-        row = _next_row(row, p, q)
-    return row[k]
+    window = rows[top][: k + 1]
+    window += [0] * (k + 1 - len(window))
+    for m in range(top + 1, n + 1):
+        for j in range(min(m, k), max(1, k - (n - m)) - 1, -1):
+            window[j] = p ** (m - j) * window[j - 1] + q**j * window[j]
+    return window[k]
 
 
 def triangle_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
@@ -109,38 +121,69 @@ def triangle_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
         yield row
 
 
-def _next_row_symbolic(prev: list[BiPoly]) -> list[BiPoly]:
+def _next_row_dense(prev: list[list[int]]) -> list[list[int]]:
+    """The next row of the symbolic triangle in dense homogeneous form.
+
+    Entry k of row n is C(n, k), homogeneous of degree d = k(n-k), stored as
+    the list of its coefficients of p**a * q**(d-a) for a = 0..d.  Then
+    p**(n-k) * C(n-1, k-1) is C(n-1, k-1) shifted up by n - k places, and
+    q**k * C(n-1, k) is C(n-1, k) with the same list.
+    """
     n = len(prev)
-    row = [BiPoly.one()]
+    row = [[1]]
     for k in range(1, n):
-        row.append(BiPoly.monomial(n - k, 0) * prev[k - 1] + BiPoly.monomial(0, k) * prev[k])
-    row.append(BiPoly.one())
+        a, b, shift = prev[k - 1], prev[k], n - k
+        overlap = [x + y for x, y in zip_longest(a, b[shift:], fillvalue=0)]
+        row.append(b[:shift] + [0] * (shift - len(b)) + overlap)
+    row.append([1])
     return row
 
 
 def coeff_symbolic(n: int, k: int) -> BiPoly:
-    """C(n, k) as a polynomial in Z[p, q] via the same triangle recurrence."""
+    """C(n, k) as a polynomial in Z[p, q] via the same triangle recurrence.
+
+    The rows are built in dense homogeneous form (``_next_row_dense``); the
+    requested entry becomes a ``BiPoly`` once and, for n up to the cache
+    limit, is memoized.
+    """
+    # A memoized entry is read without the lock: entries are immutable and
+    # stored whole under _lock, and only valid (n, k) are ever stored.
+    poly = _symbolic_entries.get((n, k))
+    if poly is not None:
+        return poly
     _check_indices(n, k)
     with _lock:
         rows = _symbolic_rows
         while len(rows) - 1 < min(n, _cache_limit):
-            rows.append(_next_row_symbolic(rows[-1]))
+            rows.append(_next_row_dense(rows[-1]))
         row = rows[min(n, len(rows) - 1)]
     while len(row) - 1 < n:
-        row = _next_row_symbolic(row)
-    return row[k]
+        row = _next_row_dense(row)
+    dense = row[k]
+    degree = len(dense) - 1
+    poly = BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
+    if n <= _cache_limit:
+        with _lock:
+            _symbolic_entries[(n, k)] = poly
+    return poly
 
 
 def coeff_factorial(params: SeqParams, n: int, k: int) -> int:
     """C(n, k) as term_factorial(n) / (term_factorial(k) * term_factorial(n - k)).
 
-    Requires every term 1..n to be nonzero, otherwise the ratio is not
-    defined and a DivisibilityError surfaces.
+    The larger factorial of the denominator, [max(k, n-k)]!, is cancelled
+    against the first terms of [n]! before dividing, so the quotient taken is
+    the product of terms n-j+1..n over [j]!, with j = min(k, n - k).  That
+    cancellation needs every term to be nonzero: a term vanishes exactly
+    when p + q == 0 (T_2 = p + q divides every even-indexed term), and the
+    full ratio then divides 0 by 0 once max(k, n-k) >= 2, so the route
+    raises that DivisibilityError.
     """
     _check_indices(n, k)
-    numerator = term_factorial(params, n)
-    denominator = term_factorial(params, k) * term_factorial(params, n - k)
-    return exact_div(numerator, denominator)
+    if params.p + params.q == 0 and max(k, n - k) >= 2:
+        raise DivisibilityError(0, 0)
+    j = min(k, n - k)
+    return exact_div(_term_product(params, n - j + 1, n + 1), term_factorial(params, j))
 
 
 def coeff_product(params: SeqParams, n: int, k: int) -> int:
@@ -202,14 +245,18 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
     Evaluates sum over 1 <= b_1 < ... < b_k <= n of w(b_1) * ... * w(b_k)
     by the elementary recursion e(i, j) = e(i-1, j) + w_i * e(i-1, j-1);
     the value equals C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
+
+    After box i only the band j in [max(1, k - (n - i)), min(i, k)] is
+    updated: e(i, j) is still 0 above it, and below it e(i, j) can no longer
+    reach e(n, k), since each of the n - i boxes left raises j by at most 1.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     weights = box_weights(params, n)
     e = [0] * (k + 1)
     e[0] = 1
-    for w in weights:
-        for j in range(k, 0, -1):
+    for i, w in enumerate(weights, 1):
+        for j in range(min(i, k), max(1, k - (n - i)) - 1, -1):
             e[j] += w * e[j - 1]
     return e[k]
 

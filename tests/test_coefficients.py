@@ -32,7 +32,8 @@ from tnomial.coefficients import (
 )
 from tnomial.errors import DegenerateParametersError, DivisibilityError
 from tnomial.oracles import TriMatrix, invert_triangular
-from tnomial.sequences import SeqParams, compositions_of, term_factorial
+from tnomial.rings import BiPoly, exact_div
+from tnomial.sequences import SeqParams, compositions_of, term_closed, term_factorial
 from tnomial.suites import pq_grid
 
 params_23 = SeqParams(2, 3)
@@ -59,6 +60,57 @@ def composition_sum_inverse(params, n, k):
         for composition in compositions_of(r, s):
             alternating += (-1) ** s * multinomial(params, r, composition.parts)
     return coeff_recurrence(params, n, k) * alternating
+
+
+def full_row_recurrence(params, n, k):
+    """C(n, k) from whole rows 0..n of the triangle recurrence."""
+    coefficients._check_indices(n, k)
+    p, q = params.p, params.q
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1] + [p ** (m - j) * row[j - 1] + q**j * row[j] for j in range(1, m)] + [1]
+    return row[k]
+
+
+def full_subset_sum(params, n, k):
+    """The elementary recursion over every e(i, j), j = k..1, for each box."""
+    if n < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    e = [1] + [0] * k
+    for w in box_weights(params, n):
+        for j in range(k, 0, -1):
+            e[j] += w * e[j - 1]
+    return e[k]
+
+
+def factorial_ratio(params, n, k):
+    """[n]! / ([k]! [n-k]!) with nothing cancelled."""
+    coefficients._check_indices(n, k)
+    denominator = term_factorial(params, k) * term_factorial(params, n - k)
+    return exact_div(term_factorial(params, n), denominator)
+
+
+def sparse_symbolic_rows(n_max):
+    """Rows 0..n_max of the symbolic triangle, multiplying sparse BiPoly
+    entries by monomials."""
+    row = [BiPoly.one()]
+    rows = [row]
+    for n in range(1, n_max + 1):
+        row = (
+            [BiPoly.one()]
+            + [BiPoly.monomial(n - k, 0) * row[k - 1] + BiPoly.monomial(0, k) * row[k] for k in range(1, n)]
+            + [BiPoly.one()]
+        )
+        rows.append(row)
+    return rows
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestFrozenValues:
@@ -132,6 +184,77 @@ class TestInverseRoute:
             set_cache_limit(128)
         assert built == list(range(1, 41))
         assert value != 0
+
+
+class TestRewrittenRoutesAgainstReferences:
+    small_grid = [
+        (SeqParams(p, q, scale), n, k)
+        for p in range(-3, 4)
+        for q in range(-3, 4)
+        for scale in (1, 2)
+        for n in range(14)
+        for k in range(-1, n + 2)
+    ]
+
+    def test_factorial_cancels_to_the_full_ratio(self):
+        for params, n, k in self.small_grid:
+            expected = outcome(factorial_ratio, params, n, k)
+            assert outcome(coeff_factorial, params, n, k) == expected, (params, n, k)
+
+    def test_subset_band_matches_the_full_loop(self):
+        for params, n, k in self.small_grid + [(params_23, -1, 0)]:
+            expected = outcome(full_subset_sum, params, n, k)
+            assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)
+
+    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (0, 2), (2, 0), (2, 2), (2, -2), (0, 0)])
+    def test_recurrence_windows_past_cache_limit(self, pq, monkeypatch):
+        params = SeqParams(*pq)
+        monkeypatch.delitem(coefficients._numeric_rows, pq, raising=False)
+        set_cache_limit(4)
+        try:
+            rows = list(triangle_rows(params, 40))
+            got = [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(41)]
+        finally:
+            set_cache_limit(128)
+        assert got == rows
+        assert got[12] == [full_row_recurrence(params, 12, k) for k in range(13)]
+
+    def test_thin_windows_build_no_full_row(self, monkeypatch):
+        built = []
+        next_row = coefficients._next_row
+
+        def counting_next_row(prev, p, q):
+            built.append(len(prev))
+            return next_row(prev, p, q)
+
+        monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
+        monkeypatch.delitem(coefficients._numeric_rows, (2, 3), raising=False)
+        set_cache_limit(4)
+        try:
+            values = [coeff_recurrence(params_23, 400, k) for k in (0, 1, 399)]
+        finally:
+            set_cache_limit(128)
+        assert values == [1, term_closed(params_23, 400), term_closed(params_23, 400)]
+        assert built == [1, 2, 3, 4]
+
+    def test_symbolic_matches_sparse_kernel(self):
+        rows = sparse_symbolic_rows(24)
+        for n, row in enumerate(rows):
+            for k, poly in enumerate(row):
+                assert coeff_symbolic(n, k) == poly, (n, k)
+
+    def test_symbolic_past_cache_limit(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
+        monkeypatch.setattr(coefficients, "_symbolic_entries", {})
+        rows = sparse_symbolic_rows(14)
+        set_cache_limit(4)
+        try:
+            got = [[coeff_symbolic(n, k) for k in range(n + 1)] for n in range(15)]
+        finally:
+            set_cache_limit(128)
+        assert got == rows
+        assert len(coefficients._symbolic_rows) == 5
+        assert max(n for n, _ in coefficients._symbolic_entries) == 4
 
 
 class TestLambdaSumsAgainstEnumeration:
@@ -351,6 +474,43 @@ class TestErrorsAndCache:
             set_cache_limit(128)
         assert not any(thread.is_alive() for thread in threads)
         rows = list(triangle_rows(params, 60))
+        assert results == [[rows[n][k] for n, k in columns]] * 4
+
+    def test_memoized_symbolic_entries_still_validate_indices(self):
+        for n in range(11):
+            for k in range(n + 1):
+                coeff_symbolic(n, k)
+        for n, k in ((5, -1), (5, 6), (-1, 0), (-1, -1)):
+            with pytest.raises(ValueError):
+                coeff_symbolic(n, k)
+
+    def test_concurrent_reads_of_a_fresh_symbolic_triangle(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
+        monkeypatch.setattr(coefficients, "_symbolic_entries", {})
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        # past the cache limit every read rebuilds its rows, so read a few columns
+        columns = [(n, k) for n in range(31) for k in sorted({0, n // 3, n // 2, n})]
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [coeff_symbolic(n, k) for n, k in columns]
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+        switch_interval = sys.getswitchinterval()
+        set_cache_limit(16)
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+            set_cache_limit(128)
+        assert not any(thread.is_alive() for thread in threads)
+        rows = sparse_symbolic_rows(30)
         assert results == [[rows[n][k] for n, k in columns]] * 4
 
     def test_triangle_rows_validation(self):
