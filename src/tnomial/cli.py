@@ -10,7 +10,8 @@ re-serializing is byte-identical.
 Exit status: 0 when everything computed or verified cleanly, 1 when a
 verify or oracle sweep found a counterexample or compared nothing, or
 when the reader of standard output went away, 2 for unusable arguments
-(including routes undefined at the requested parameters).
+(including routes undefined at the requested parameters) and for work
+over its budget (``BudgetExceededError``).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Iterable
 
 from .coefficients import ROUTE_NAMES, coeff_route, coeff_symbolic, triangle_rows
 from .errors import (
+    BudgetExceededError,
     DegenerateParametersError,
     DivisibilityError,
     ParameterMismatchError,
@@ -81,33 +83,19 @@ def _cmd_coeff(args: argparse.Namespace, out) -> int:
         if args.route != "recurrence":
             raise UsageError("--symbolic only makes sense with the default route")
         value = str(coeff_symbolic(args.n, args.k))
-        if args.format == "json":
-            payload = {"k": str(args.k), "n": str(args.n), "route": "symbolic", "value": value}
-            _emit(_dump_json(payload), out)
-        elif args.format == "csv":
-            row = (args.n, args.k, "", "", value)
-            _emit(_dump_csv(TABLE_COLUMNS, [row]), out)
-        else:
-            _emit(value, out)
-        return 0
-
-    params = _params_from(args)
-    value = coeff_route(params, args.n, args.k, args.route)
-    if args.format == "json":
-        payload = {
-            "k": str(args.k),
-            "n": str(args.n),
-            "p": str(params.p),
-            "q": str(params.q),
-            "route": args.route,
-            "scale": str(params.scale),
-            "value": decimal_str(value),
-        }
-        _emit(_dump_json(payload), out)
-    elif args.format == "csv":
-        _emit(_dump_csv(TABLE_COLUMNS, [(args.n, args.k, params.p, params.q, decimal_str(value))]), out)
+        keys = {"route": "symbolic"}
+        row = (args.n, args.k, "", "", value)
     else:
-        _emit(decimal_str(value), out)
+        params = _params_from(args)
+        value = decimal_str(coeff_route(params, args.n, args.k, args.route))
+        keys = {"p": str(params.p), "q": str(params.q), "route": args.route, "scale": str(params.scale)}
+        row = (args.n, args.k, params.p, params.q, value)
+    if args.format == "json":
+        _emit(_dump_json({"k": str(args.k), "n": str(args.n), "value": value, **keys}), out)
+    elif args.format == "csv":
+        _emit(_dump_csv(TABLE_COLUMNS, [row]), out)
+    else:
+        _emit(value, out)
     return 0
 
 
@@ -301,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (
         UsageError,
+        BudgetExceededError,
         DegenerateParametersError,
         DivisibilityError,
         ParameterMismatchError,

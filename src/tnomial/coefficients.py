@@ -33,6 +33,7 @@ _numeric_rows: dict[tuple[int, int], list[list[int]]] = {}
 _symbolic_rows: list[list[list[int]]] = [[[1]]]
 _symbolic_entries: dict[tuple[int, int], BiPoly] = {}
 _cache_limit = 128
+_MAX_PAIRS = 64
 
 
 def set_cache_limit(n_max: int) -> None:
@@ -66,11 +67,17 @@ def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
     """The memoized rows of the (p, q) triangle, extended under ``_lock`` up
     to row min(n, cache limit), and the index of the highest one <= n.
 
+    At most _MAX_PAIRS pairs stay cached: a new pair evicts the oldest.
     The rows list is shared and only ever appended to, so indices up to the
-    returned one stay valid outside the lock; callers must not mutate it.
+    returned one stay valid outside the lock, even after its pair is evicted;
+    callers must not mutate it.
     """
     with _lock:
-        rows = _numeric_rows.setdefault((p, q), [[1]])
+        rows = _numeric_rows.get((p, q))
+        if rows is None:
+            if len(_numeric_rows) >= _MAX_PAIRS:
+                del _numeric_rows[next(iter(_numeric_rows))]
+            rows = _numeric_rows[(p, q)] = [[1]]
         while len(rows) - 1 < min(n, _cache_limit):
             rows.append(_next_row(rows[-1], p, q))
         return rows, min(n, len(rows) - 1)

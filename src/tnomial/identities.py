@@ -18,6 +18,9 @@ exponent variants, an alternating partial-fraction sum that collapses to
 interpolation basis, and generalized Fibonomial coefficients checked
 inside the quadratic ring Z[t]/(t^2 - alpha*t - 1).
 
+Each product is written once, over a ring given by ``one``, ``p`` and ``q``:
+Z at a parameter pair, Z[p, q], or Z[t]/(t^2 - alpha*t - 1) at (p, q) =
+(t, alpha - t); the weights never come from the routes being checked.
 Every expansion function asserts the expected coefficients as it goes and
 raises IdentityViolation on the first mismatch.
 """
@@ -25,10 +28,8 @@ raises IdentityViolation on the first mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .coefficients import (
-    box_weights,
     coeff_inverse,
     coeff_partial_fractions,
     coeff_recurrence,
@@ -44,8 +45,32 @@ def _binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def _coeff_or_zero(params: SeqParams, n: int, k: int) -> int:
-    return coeff_recurrence(params, n, k) if 0 <= k <= n else 0
+def _ring(params: SeqParams | None) -> tuple:
+    """``(one, p, q, coeff)``: Z[p, q] with the symbolic coefficients for
+    ``params=None``, else Z at (p, q) with the recurrence coefficients."""
+    if params is None:
+        return BiPoly.one(), BiPoly.var_p(), BiPoly.var_q(), coeff_symbolic
+    return 1, params.p, params.q, lambda n, k: coeff_recurrence(params, n, k)
+
+
+def _box_weights(p, q, n: int) -> list:
+    return [q ** (i - 1) * p ** (n - i) for i in range(1, n + 1)]
+
+
+def _box_factors(one, p, q, n: int, order: int) -> list[XSeries]:
+    """The factors 1 - q**(i-1) p**(n-i) x, i = 1..n, of the subset product."""
+    return [XSeries([one, -w], order, zero=one * 0) for w in _box_weights(p, q, n)]
+
+
+def _checked_product(identity: str, n: int, factors, order: int, one, expected) -> XSeries:
+    """Multiply the factors to ``order`` and compare coefficient k with
+    ``expected(k)``, raising IdentityViolation at the first mismatch."""
+    series = series_product(factors, order, one=one)
+    for k in range(order):
+        rhs = expected(k)
+        if series[k] != rhs:
+            raise IdentityViolation(identity, (n, k), series[k], rhs)
+    return series
 
 
 def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> XSeries:
@@ -59,24 +84,12 @@ def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None 
         raise ValueError("n must be nonnegative")
     if order is None:
         order = n + 1
-    if params is None:
-        one: BiPoly | int = BiPoly.one()
-        weights = [BiPoly.monomial(n - i, i - 1) for i in range(1, n + 1)]
-    else:
-        one = 1
-        weights = box_weights(params, n)
-    factors = [XSeries([one, -w], order, zero=one * 0) for w in weights]
-    series = series_product(factors, order, one=one)
-    for k in range(order):
-        if k > n:
-            expected: BiPoly | int = one * 0
-        elif params is None:
-            expected = (-1) ** k * BiPoly.monomial(_binom2(k), _binom2(k)) * coeff_symbolic(n, k)
-        else:
-            expected = (-1) ** k * (params.p * params.q) ** _binom2(k) * coeff_recurrence(params, n, k)
-        if series[k] != expected:
-            raise IdentityViolation("subset-gf", (n, k), series[k], expected)
-    return series
+    one, p, q, coeff = _ring(params)
+
+    def expected(k):
+        return (-1) ** k * (p * q) ** _binom2(k) * coeff(n, k) if k <= n else one * 0
+
+    return _checked_product("subset-gf", n, _box_factors(one, p, q, n, order), order, one, expected)
 
 
 def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> XSeries:
@@ -89,22 +102,9 @@ def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> X
         raise ValueError("n must be positive")
     if order < 1:
         raise ValueError("order must be positive")
-    if params is None:
-        one: BiPoly | int = BiPoly.one()
-        weights = [BiPoly.monomial(n - i, i - 1) for i in range(1, n + 1)]
-    else:
-        one = 1
-        weights = box_weights(params, n)
-    factors = [geometric_series(w, order) for w in weights]
-    series = series_product(factors, order, one=one)
-    for k in range(order):
-        if params is None:
-            expected: BiPoly | int = coeff_symbolic(n + k - 1, k)
-        else:
-            expected = coeff_recurrence(params, n + k - 1, k)
-        if series[k] != expected:
-            raise IdentityViolation("multiset-gf", (n, k), series[k], expected)
-    return series
+    one, p, q, coeff = _ring(params)
+    factors = [geometric_series(w, order) for w in _box_weights(p, q, n)]
+    return _checked_product("multiset-gf", n, factors, order, one, lambda k: coeff(n + k - 1, k))
 
 
 def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> XSeries:
@@ -116,32 +116,13 @@ def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None =
         raise ValueError("n must be nonnegative")
     if order is None:
         order = n + 1
-    if params is None:
-        one: BiPoly | int = BiPoly.one()
-        factors = [
-            XSeries([BiPoly.monomial(i - 1, 0), -BiPoly.monomial(0, i - 1)], order, zero=BiPoly.zero())
-            for i in range(1, n + 1)
-        ]
-    else:
-        one = 1
-        p, q = params.p, params.q
-        factors = [XSeries([p ** (i - 1), -(q ** (i - 1))], order, zero=0) for i in range(1, n + 1)]
-    series = series_product(factors, order, one=one)
-    for k in range(order):
-        if k > n:
-            expected: BiPoly | int = one * 0
-        elif params is None:
-            expected = (-1) ** k * BiPoly.monomial(_binom2(n - k), _binom2(k)) * coeff_symbolic(n, k)
-        else:
-            expected = (
-                (-1) ** k
-                * params.q ** _binom2(k)
-                * params.p ** _binom2(n - k)
-                * coeff_recurrence(params, n, k)
-            )
-        if series[k] != expected:
-            raise IdentityViolation("split-gf", (n, k), series[k], expected)
-    return series
+    one, p, q, coeff = _ring(params)
+    factors = [XSeries([p ** (i - 1), -(q ** (i - 1))], order, zero=one * 0) for i in range(1, n + 1)]
+
+    def expected(k):
+        return (-1) ** k * q ** _binom2(k) * p ** _binom2(n - k) * coeff(n, k) if k <= n else one * 0
+
+    return _checked_product("split-gf", n, factors, order, one, expected)
 
 
 def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = None) -> bool:
@@ -163,38 +144,17 @@ def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = No
     if form not in ("y_weights", "split"):
         raise ValueError(f"unknown form {form!r}")
     order = n + 1
-    symbolic = params is None
-    if symbolic:
-        one: BiPoly | int = BiPoly.one()
-        if form == "y_weights":
-            factors = [
-                XSeries([BiPoly.monomial(n - i, i - 1), one], order, zero=BiPoly.zero())
-                for i in range(1, n + 1)
-            ]
-        else:
-            factors = [
-                XSeries([BiPoly.monomial(0, i), BiPoly.monomial(i, 0)], order, zero=BiPoly.zero())
-                for i in range(n)
-            ]
+    one, p, q, coeff = _ring(params)
+    if form == "y_weights":
+        factors = [XSeries([w, one], order, zero=one * 0) for w in _box_weights(p, q, n)]
     else:
-        one = 1
-        p, q = params.p, params.q
-        if form == "y_weights":
-            factors = [XSeries([p ** (n - i) * q ** (i - 1), 1], order, zero=0) for i in range(1, n + 1)]
-        else:
-            factors = [XSeries([q**i, p**i], order, zero=0) for i in range(n)]
+        factors = [XSeries([q**i, p**i], order, zero=one * 0) for i in range(n)]
     series = series_product(factors, order, one=one)
     for k in range(n + 1):
         # x**(n-k) coefficient, i.e. the y**k slot of the homogeneous expansion
         actual = series[n - k]
-        if symbolic:
-            q_exp = _binom2(k)
-            p_exp = _binom2(k) if form == "y_weights" else _binom2(n - k)
-            expected: BiPoly | int = BiPoly.monomial(p_exp, q_exp) * coeff_symbolic(n, k)
-        else:
-            p, q = params.p, params.q
-            p_exp = _binom2(k) if form == "y_weights" else _binom2(n - k)
-            expected = q ** _binom2(k) * p**p_exp * coeff_recurrence(params, n, k)
+        p_exp = _binom2(k) if form == "y_weights" else _binom2(n - k)
+        expected = q ** _binom2(k) * p**p_exp * coeff(n, k)
         if actual != expected:
             raise IdentityViolation(f"binomial-like/{form}", (n, k), actual, expected)
     return True
@@ -216,9 +176,9 @@ def orthogonality(params: SeqParams, n: int, s: int) -> bool:
     direct = sum(
         (-1) ** k
         * (p * q) ** _binom2(k)
-        * _coeff_or_zero(params, n, k)
+        * coeff_recurrence(params, n, k)
         * coeff_recurrence(params, n + s - k - 1, n - 1)
-        for k in range(s + 1)
+        for k in range(min(n, s) + 1)  # C(n, k) = 0 for k > n
     )
     ok = direct == 0
     order = s + 1
@@ -347,13 +307,10 @@ def _fibonomial_points(alpha: int, n_max: int):
             )
             yield n, k, fibonomial(alpha, n, k), recurrence
 
-    u = QuadElem.root(alpha)
-    v = QuadElem.conjugate_root(alpha)
-    one = QuadElem.from_int(1, alpha)
+    u, v, one = QuadElem.root(alpha), QuadElem.conjugate_root(alpha), QuadElem.from_int(1, alpha)
     for n in range(1, n_max + 1):
-        weights = [v ** (s - 1) * u ** (n - s) for s in range(1, n + 1)]
-        factors = [XSeries([one, -w], n + 1, zero=one * 0) for w in weights]
-        series = series_product(factors, n + 1, one=one)
+        # the subset product at (p, q) = (u, v) = (t, alpha - t)
+        series = series_product(_box_factors(one, u, v, n, n + 1), n + 1, one=one)
         for k in range(n + 1):
             # a QuadElem equals an int only when it is t-free
             yield n, k, series[k], (-1) ** _binom2(k + 1) * fibonomial(alpha, n, k)

@@ -381,6 +381,13 @@ class TestOracle:
         assert rc == 1
         assert "FAILS" in out
 
+    def test_budget_exceeded_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("TNOMIAL_MAX_BUDGET", "1")
+        rc, out, err = run_cli("oracle", "--which", "selections", capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: selection counting would enumerate 2 objects, budget is 1\n"
+
 
 def test_console_script_entry_point():
     result = subprocess.run(

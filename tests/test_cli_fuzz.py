@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,7 @@ def test_verify(identity, fmt, p, q, n_max):
 
 
 @settings(fuzz, max_examples=40)
-@given(which=st.sampled_from(ORACLE_SUITES), fmt=formats, n_max=st.integers(-1, 6))
-def test_oracle(which, fmt, n_max):
-    run(["oracle", "--which", which, "--format", fmt, "--max", str(n_max)])
+@given(which=st.sampled_from(ORACLE_SUITES), fmt=formats, n_max=st.integers(-1, 6), budget=st.integers(1, 10**7))
+def test_oracle(which, fmt, n_max, budget):
+    with mock.patch.dict(os.environ, {"TNOMIAL_MAX_BUDGET": str(budget)}):
+        run(["oracle", "--which", which, "--format", fmt, "--max", str(n_max)])

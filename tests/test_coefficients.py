@@ -34,7 +34,7 @@ from tnomial.errors import DegenerateParametersError, DivisibilityError
 from tnomial.oracles import TriMatrix, invert_triangular
 from tnomial.rings import BiPoly, exact_div
 from tnomial.sequences import SeqParams, compositions_of, term_closed, term_factorial
-from tnomial.suites import pq_grid
+from tnomial.suites import pq_grid, run_oracle, run_verify
 
 params_23 = SeqParams(2, 3)
 
@@ -438,6 +438,32 @@ class TestErrorsAndCache:
         finally:
             set_cache_limit(128)
 
+    def test_cached_pairs_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_numeric_rows", {})
+        bound = coefficients._MAX_PAIRS
+        pairs = [(p, q) for p in range(-20, 20) for q in range(-12, 13)]
+        assert len(pairs) == 1000
+        first_rows = {}
+        for p, q in pairs:
+            first_rows[(p, q)] = list(triangle_rows(SeqParams(p, q), 6))
+            assert len(coefficients._numeric_rows) <= bound
+        assert list(coefficients._numeric_rows) == pairs[-bound:]
+        for (p, q), rows in coefficients._numeric_rows.items():
+            assert rows == first_rows[(p, q)]
+            assert rows[6][3] == coeff_factorial(SeqParams(p, q), 6, 3)
+        # evicted pairs are rebuilt on demand, with the same values
+        for p, q in pairs[::37]:
+            params = SeqParams(p, q)
+            assert [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(7)] == first_rows[(p, q)]
+        assert len(coefficients._numeric_rows) == bound
+
+    def test_default_sweeps_evict_no_pair(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_numeric_rows", {})
+        run_verify("all")
+        run_oracle("all")
+        # a pair is evicted only once the cache is full
+        assert len(coefficients._numeric_rows) < coefficients._MAX_PAIRS
+
     def test_cached_rows_still_validate_indices(self, monkeypatch):
         params = SeqParams(6, -5)
         monkeypatch.delitem(coefficients._numeric_rows, (6, -5), raising=False)
@@ -475,6 +501,34 @@ class TestErrorsAndCache:
         assert not any(thread.is_alive() for thread in threads)
         rows = list(triangle_rows(params, 60))
         assert results == [[rows[n][k] for n, k in columns]] * 4
+
+    def test_concurrent_reads_while_pairs_are_evicted(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_numeric_rows", {})
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+        # 4 x 40 distinct pairs, so pairs are evicted while others are read
+        slots = [[(p, q) for p in range(1, 5) for q in range(10 * slot + 1, 10 * slot + 11)] for slot in range(4)]
+        columns = [(n, k) for n in range(13) for k in range(n + 1)]
+
+        def read(slot):
+            barrier.wait(timeout=10)
+            results[slot] = [coeff_recurrence(SeqParams(p, q), n, k) for p, q in slots[slot] for n, k in columns]
+
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(coefficients._numeric_rows) == coefficients._MAX_PAIRS
+        for slot in range(4):
+            expected = [coeff_factorial(SeqParams(p, q), n, k) for p, q in slots[slot] for n, k in columns]
+            assert results[slot] == expected
 
     def test_memoized_symbolic_entries_still_validate_indices(self):
         for n in range(11):

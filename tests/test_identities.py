@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence
+from tnomial import identities
+from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coeff_symbolic
 from tnomial.errors import DegenerateParametersError, IdentityViolation
 from tnomial.identities import (
     alpha_fibonacci,
@@ -25,7 +26,7 @@ from tnomial.identities import (
     vandermonde,
     vandermonde_terms,
 )
-from tnomial.rings import BiPoly, QuadElem
+from tnomial.rings import BiPoly, QuadElem, series_product
 from tnomial.sequences import SeqParams
 
 params_23 = SeqParams(2, 3)
@@ -66,6 +67,84 @@ class TestProductExpansions:
             a = expand_subset_gf(n, params_23, 9)
             b = expand_multiset_gf(n, 9, params_23)
             assert a * b == XSeries.one(9)
+
+
+EVAL_POINTS = ((2, 3), (-3, 2), (0, 2), (2, 2))
+
+
+def _evaluated(series, p, q):
+    return [c.eval(p, q) for c in series.coefficients]
+
+
+class TestSymbolicMatchesNumeric:
+    """Each product, expanded over Z[p, q] and evaluated at (p, q), equals
+    its expansion over the integers at (p, q), coefficient by coefficient."""
+
+    @pytest.mark.parametrize("p, q", EVAL_POINTS)
+    def test_gf_expansions(self, p, q):
+        params = SeqParams(p, q)
+        for n in range(7):
+            for order in (n + 1, n + 3):
+                pairs = [
+                    (expand_subset_gf(n, None, order), expand_subset_gf(n, params, order)),
+                    (expand_split_gf(n, None, order), expand_split_gf(n, params, order)),
+                ]
+                if n >= 1:
+                    pairs.append((expand_multiset_gf(n, order, None), expand_multiset_gf(n, order, params)))
+                for symbolic, numeric in pairs:
+                    assert _evaluated(symbolic, p, q) == list(numeric.coefficients)
+
+    @pytest.mark.parametrize("p, q", EVAL_POINTS)
+    def test_binomial_expansions(self, p, q, monkeypatch):
+        products = []
+
+        def recorded(*args, **kwargs):
+            products.append(series_product(*args, **kwargs))
+            return products[-1]
+
+        monkeypatch.setattr(identities, "series_product", recorded)
+        for n in range(1, 7):
+            for form in ("y_weights", "split"):
+                assert binomial_like(n, form) and binomial_like(n, form, SeqParams(p, q))
+                symbolic, numeric = products[-2:]
+                assert _evaluated(symbolic, p, q) == list(numeric.coefficients)
+        assert len(products) == 24
+
+
+P, Q = BiPoly.var_p(), BiPoly.var_q()
+
+# (identity, call, weight, entry): with the coefficient at k = 2 off by one,
+# the check fails at (5, 2) with lhs weight * C(entry) and rhs weight * (C(entry) + 1).
+CORRUPTED = {
+    "subset-gf": (lambda params: expand_subset_gf(5, params), lambda p, q: p * q, (5, 2)),
+    "multiset-gf": (lambda params: expand_multiset_gf(5, 4, params), lambda p, q: 1, (6, 2)),
+    "split-gf": (lambda params: expand_split_gf(5, params), lambda p, q: q * p**3, (5, 2)),
+    "binomial-like/y_weights": (lambda params: binomial_like(5, "y_weights", params), lambda p, q: q * p, (5, 2)),
+    "binomial-like/split": (lambda params: binomial_like(5, "split", params), lambda p, q: q * p**3, (5, 2)),
+}
+
+
+class TestCorruptedCoefficients:
+    @pytest.mark.parametrize("identity", CORRUPTED)
+    @pytest.mark.parametrize("params", [None, params_23, SeqParams(-3, 2)], ids=["symbolic", "2,3", "-3,2"])
+    def test_violation_fields(self, identity, params, monkeypatch):
+        call, weight, entry = CORRUPTED[identity]
+
+        def off_by_one(coeff):
+            return lambda *args: coeff(*args) + (args[-1] == 2)
+
+        monkeypatch.setattr(identities, "coeff_recurrence", off_by_one(coeff_recurrence))
+        monkeypatch.setattr(identities, "coeff_symbolic", off_by_one(coeff_symbolic))
+        if params is None:
+            w, true = weight(P, Q), coeff_symbolic(*entry)
+        else:
+            w, true = weight(params.p, params.q), coeff_recurrence(params, *entry)
+        with pytest.raises(IdentityViolation) as excinfo:
+            call(params)
+        err = excinfo.value
+        assert (err.identity, err.location) == (identity, (5, 2))
+        assert err.lhs == w * true
+        assert err.rhs == w * (true + 1)
 
 
 class TestBinomialLike:
