@@ -276,6 +276,13 @@ def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:
     0 <= n < k, and negative n, where it is a genuine rational).  Requires
     the nodes to be pairwise distinct, so p != q and in particular no
     parameter pair with |p| == |q| or a zero parameter when k >= 2.
+
+    Term i is (-1)**(k-i) mu_i**n over the product of mu_max(i,j) -
+    mu_min(i,j), j != i.  Each factor mu_l - mu_j (l > j) is
+    q**j p**(k-l) (q**(l-j) - p**(l-j)), so the term is (-1)**(k-i) q**e(i) p**e(k-i) / (D(i) D(k-i)), with e(j) =
+    j(n-k) + C(j+1, 2) and D(m) = prod_{d=1..m} (q**d - p**d).  Scaled by
+    (p*q)**s, s = max(-e), every power is integral, negative n included, so
+    the integer numerator is summed over one denominator D(k) (p*q)**s.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -284,20 +291,19 @@ def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:
         raise DegenerateParametersError(f"p == q == {p}: partial fractions undefined")
     nodes = [q**s * p ** (k - s) for s in range(k + 1)]
     if len(set(nodes)) != len(nodes):
-        raise DegenerateParametersError(
-            f"coincident nodes {nodes} for p={p}, q={q}, k={k}"
-        )
+        raise DegenerateParametersError(f"coincident nodes {nodes} for p={p}, q={q}, k={k}")
     if n < 0 and any(node == 0 for node in nodes):
         raise DegenerateParametersError("negative power of a zero node")
-    total = Fraction(0)
-    for i, node in enumerate(nodes):
-        denominator = 1
-        for j in range(i):
-            denominator *= node - nodes[j]
-        for j in range(i + 1, k + 1):
-            denominator *= nodes[j] - node
-        total += (-1) ** (k - i) * Fraction(node) ** n / denominator
-    return total
+    diffs = [1]  # D(0..k), nonzero since the nodes are distinct
+    for d in range(1, k + 1):
+        diffs.append(diffs[-1] * (q**d - p**d))
+    e = [j * (n - k) + j * (j + 1) // 2 for j in range(k + 1)]
+    shift = -min(e)
+    numerator = sum(
+        (-1) ** (k - i) * q ** (e[i] + shift) * p ** (e[k - i] + shift) * (diffs[k] // (diffs[i] * diffs[k - i]))
+        for i in range(k + 1)
+    )
+    return Fraction(numerator, diffs[k] * (p * q) ** shift)
 
 
 def multinomial(params: SeqParams, n: int, parts: tuple[int, ...]) -> int:

@@ -37,7 +37,7 @@ from .coefficients import (
 )
 from .errors import DegenerateParametersError, IdentityViolation
 from .report import IdentityReport, make_report, sweep
-from .rings import BiPoly, QuadElem, XSeries, exact_div, geometric_series, series_product
+from .rings import BiPoly, QuadElem, XSeries, exact_div, series_product
 from .sequences import SeqParams
 
 
@@ -62,11 +62,10 @@ def _box_factors(one, p, q, n: int, order: int) -> list[XSeries]:
     return [XSeries([one, -w], order, zero=one * 0) for w in _box_weights(p, q, n)]
 
 
-def _checked_product(identity: str, n: int, factors, order: int, one, expected) -> XSeries:
-    """Multiply the factors to ``order`` and compare coefficient k with
-    ``expected(k)``, raising IdentityViolation at the first mismatch."""
-    series = series_product(factors, order, one=one)
-    for k in range(order):
+def _checked(identity: str, n: int, series: XSeries, expected) -> XSeries:
+    """Compare coefficient k of the series with ``expected(k)``, raising
+    IdentityViolation at the first mismatch."""
+    for k in range(series.order):
         rhs = expected(k)
         if series[k] != rhs:
             raise IdentityViolation(identity, (n, k), series[k], rhs)
@@ -89,22 +88,22 @@ def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None 
     def expected(k):
         return (-1) ** k * (p * q) ** _binom2(k) * coeff(n, k) if k <= n else one * 0
 
-    return _checked_product("subset-gf", n, _box_factors(one, p, q, n, order), order, one, expected)
+    return _checked("subset-gf", n, series_product(_box_factors(one, p, q, n, order), order, one), expected)
 
 
 def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> XSeries:
     """Expand prod_{i=1..n} 1/(1 - w_i x) to ``order`` and assert coefficients.
 
-    Each reciprocal factor is expanded as the geometric series before
-    multiplication; coefficient k must equal C(n + k - 1, k).
+    Each reciprocal factor is applied as one pass over the series, not
+    expanded first; coefficient k must equal C(n + k - 1, k).
     """
     if n < 1:
         raise ValueError("n must be positive")
     if order < 1:
         raise ValueError("order must be positive")
     one, p, q, coeff = _ring(params)
-    factors = [geometric_series(w, order) for w in _box_weights(p, q, n)]
-    return _checked_product("multiset-gf", n, factors, order, one, lambda k: coeff(n + k - 1, k))
+    series = series_product((), order, one, reciprocals=_box_weights(p, q, n))
+    return _checked("multiset-gf", n, series, lambda k: coeff(n + k - 1, k))
 
 
 def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> XSeries:
@@ -122,7 +121,7 @@ def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None =
     def expected(k):
         return (-1) ** k * q ** _binom2(k) * p ** _binom2(n - k) * coeff(n, k) if k <= n else one * 0
 
-    return _checked_product("split-gf", n, factors, order, one, expected)
+    return _checked("split-gf", n, series_product(factors, order, one), expected)
 
 
 def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = None) -> bool:
@@ -265,14 +264,13 @@ def fibonomial(alpha: int, n: int, k: int) -> int:
     """Fibonomial coefficient: the ratio of generalized Fibonacci factorials."""
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-
-    def factorial(m: int) -> int:
-        out = 1
-        for i in range(1, m + 1):
-            out *= alpha_fibonacci(alpha, i)
-        return out
-
-    return exact_div(factorial(n), factorial(k) * factorial(n - k))
+    if alpha < 1:
+        raise ValueError("alpha must be a positive integer")
+    factorials, prev, cur = [1], 0, 1  # one walk: cur runs through f(1)..f(n)
+    for _ in range(n):
+        factorials.append(factorials[-1] * cur)
+        prev, cur = cur, alpha * cur + prev
+    return exact_div(factorials[n], factorials[k] * factorials[n - k])
 
 
 def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:

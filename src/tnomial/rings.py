@@ -438,13 +438,29 @@ def geometric_series(lam, order: int) -> XSeries:
     return XSeries(coeffs, order, zero=one * 0)
 
 
-def series_product(factors: Iterable[XSeries], order: int, one=1) -> XSeries:
-    """Product of already-expanded series factors, truncated at ``order``.
+def series_product(factors: Iterable[XSeries], order: int, one=1, reciprocals: Iterable = ()) -> XSeries:
+    """Product of the series factors and of 1/(1 - w*x) for each w in
+    ``reciprocals``, truncated at ``order``; the empty product is one.
 
-    The empty product is the identity series; reciprocal factors must be
-    expanded (e.g. with :func:`geometric_series`) before being passed in.
+    Each factor is applied in place to one list, through its nonzero
+    coefficients only, so a two-term factor costs O(order); each reciprocal
+    is one ascending pass acc[k] += w * acc[k-1], never a geometric series.
     """
-    acc = XSeries([one], order, zero=one * 0)
+    zero = one * 0
+    acc = [one, *[zero] * (order - 1)][:order]
+    top = 0  # acc[k] is zero for every k > top
     for factor in factors:
-        acc = acc * factor
-    return acc
+        del acc[factor.order :]
+        terms = [(d, c) for d, c in enumerate(factor.coefficients) if c != zero]
+        top = min(len(acc) - 1, top + (terms[-1][0] if terms else 0))
+        for k in range(top, -1, -1):  # descending: acc[k - d] is still the old value
+            total = zero
+            for d, c in terms:
+                if d > k:
+                    break
+                total = total + c * acc[k - d]
+            acc[k] = total
+    for w in reciprocals:
+        for k in range(1, len(acc)):
+            acc[k] = acc[k] + w * acc[k - 1]
+    return XSeries(acc, len(acc), zero=zero)

@@ -389,6 +389,47 @@ class TestPartialFractions:
         with pytest.raises(DegenerateParametersError):
             coeff_partial_fractions(SeqParams(0, 2), 4, 2)
 
+    def test_matches_a_termwise_fraction_sum(self):
+        """The one-denominator sum equals the partial fractions summed term
+        by term in Fractions, negative n and k >= 2 included."""
+        compared = 0
+        for p, q in itertools.product(range(-3, 5), repeat=2):
+            for k in range(7):
+                nodes = [q**s * p ** (k - s) for s in range(k + 1)]
+                if p == q or len(set(nodes)) <= k:
+                    continue
+                denominators = [
+                    prod(node - nodes[j] for j in range(i)) * prod(nodes[j] - node for j in range(i + 1, k + 1))
+                    for i, node in enumerate(nodes)
+                ]
+                for n in range(-4, 11):
+                    if n < 0 and 0 in nodes:
+                        continue
+                    reference = sum(
+                        (-1) ** (k - i) * Fraction(node) ** n / denominator
+                        for i, (node, denominator) in enumerate(zip(nodes, denominators))
+                    )
+                    assert coeff_partial_fractions(SeqParams(p, q), n, k) == reference, (p, q, n, k)
+                    compared += n < 0 and k >= 2
+        assert compared > 300
+
+    def test_degenerate_cases_still_raise(self):
+        for p, q in itertools.product(range(-3, 5), repeat=2):
+            params = SeqParams(p, q)
+            for k in range(7):
+                nodes = [q**s * p ** (k - s) for s in range(k + 1)]
+                for n in range(-4, 11):
+                    if p == q:
+                        match = "partial fractions undefined"
+                    elif len(set(nodes)) <= k:
+                        match = "coincident nodes"
+                    elif n < 0 and 0 in nodes:
+                        match = "negative power of a zero node"
+                    else:
+                        continue
+                    with pytest.raises(DegenerateParametersError, match=match):
+                        coeff_partial_fractions(params, n, k)
+
     def test_agrees_with_recurrence(self):
         for p, q in ((1, 2), (2, 3), (-1, 2), (3, 1), (-2, -3)):
             params = SeqParams(p, q)

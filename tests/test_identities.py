@@ -213,6 +213,19 @@ class TestFibonomial:
         assert fibonomial(2, 3, 1) == 5
         assert fibonomial(1, 6, 3) == 60
 
+    def test_fibonomial_matches_termwise_factorials(self):
+        for alpha in (1, 2, 3):
+            fact = [1]
+            for i in range(1, 25):
+                fact.append(fact[-1] * alpha_fibonacci(alpha, i))
+            for n in range(25):
+                for k in range(n + 1):
+                    assert fibonomial(alpha, n, k) * fact[k] * fact[n - k] == fact[n]
+
+    def test_fibonomial_rejects_nonpositive_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            fibonomial(0, 3, 1)
+
     def test_suites_hold(self):
         assert fibonomial_suite(1, 10).holds
         assert fibonomial_suite(2, 8).holds
