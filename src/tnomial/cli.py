@@ -16,13 +16,13 @@ over its budget (``BudgetExceededError``).
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
-from typing import Iterable
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable
 
 from .coefficients import ROUTE_NAMES, coeff_route, coeff_symbolic, triangle_rows
 from .errors import (
@@ -42,6 +42,9 @@ from .suites import (
     run_verify,
     sample_grid,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 FORMATS = ("plain", "json", "csv")
 
@@ -72,13 +75,13 @@ def _emit(text: str, out) -> None:
         out.write("\n")
 
 
-def _params_from(args: argparse.Namespace) -> SeqParams:
+def _params_from(args: SimpleNamespace) -> SeqParams:
     if args.p is None or args.q is None:
         raise UsageError("--p and --q are required here")
     return SeqParams(args.p, args.q, args.scale)
 
 
-def _cmd_coeff(args: argparse.Namespace, out) -> int:
+def _cmd_coeff(args: SimpleNamespace, out) -> int:
     if args.symbolic:
         if args.route != "recurrence":
             raise UsageError("--symbolic only makes sense with the default route")
@@ -111,7 +114,7 @@ def _write_table_json(params: SeqParams, rows: Iterable[list[int]], out) -> None
     out.write(f'\n  ],\n  "scale": {json.dumps(str(params.scale))}\n}}\n')
 
 
-def _cmd_table(args: argparse.Namespace, out) -> int:
+def _cmd_table(args: SimpleNamespace, out) -> int:
     params = _params_from(args)
     _check_bounds(args)
     rows = triangle_rows(params, args.max)
@@ -167,14 +170,14 @@ def _emit_reports(reports: list[IdentityReport], fmt: str, out) -> int:
     return 0 if all(report.holds for report in reports) else 1
 
 
-def _check_bounds(args: argparse.Namespace) -> None:
+def _check_bounds(args: SimpleNamespace) -> None:
     for flag in ("max", "order"):
         value = getattr(args, flag, None)
         if value is not None and value < 0:
             raise UsageError(f"--{flag} must be nonnegative")
 
 
-def _verify_grid(args: argparse.Namespace) -> list[tuple[int, int]] | None:
+def _verify_grid(args: SimpleNamespace) -> list[tuple[int, int]] | None:
     if (args.p is None) != (args.q is None):
         raise UsageError("--p and --q must be given together")
     if args.p is not None:
@@ -186,7 +189,7 @@ def _verify_grid(args: argparse.Namespace) -> list[tuple[int, int]] | None:
     return None
 
 
-def _cmd_verify(args: argparse.Namespace, out) -> int:
+def _cmd_verify(args: SimpleNamespace, out) -> int:
     grid = _verify_grid(args)
     _check_bounds(args)
     if args.order is not None and args.identity not in ("gf", "all"):
@@ -200,82 +203,117 @@ def _cmd_verify(args: argparse.Namespace, out) -> int:
     return _emit_reports(reports, args.format, out)
 
 
-def _cmd_oracle(args: argparse.Namespace, out) -> int:
+def _cmd_oracle(args: SimpleNamespace, out) -> int:
     _check_bounds(args)
     reports = run_oracle(args.which, args.max)
     return _emit_reports(reports, args.format, out)
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=FORMATS, default="plain", help="output format")
+_FORMAT = {"choices": FORMATS, "default": "plain", "help": "output format"}
+
+_COMMANDS = {
+    "coeff": ("evaluate one coefficient", _cmd_coeff, {
+        "p": {"type": int, "help": "first parameter"},
+        "q": {"type": int, "help": "second parameter"},
+        "scale": {"type": int, "default": 1, "help": "sequence scale (default 1)"},
+        "n": {"type": int, "required": True, "help": "row index"},
+        "k": {"type": int, "required": True, "help": "column index"},
+        "route": {"choices": ROUTE_NAMES, "default": "recurrence", "help": "computation route"},
+        "symbolic": {"action": "store_true", "default": False,
+                     "help": "print the entry as a polynomial in p and q instead of evaluating"},
+        "format": _FORMAT,
+    }),
+    "table": ("print triangle rows 0..max", _cmd_table, {
+        "p": {"type": int, "required": True},
+        "q": {"type": int, "required": True},
+        "scale": {"type": int, "default": 1},
+        "max": {"type": int, "required": True, "help": "largest row index"},
+        "format": _FORMAT,
+    }),
+    "verify": ("sweep an identity suite", _cmd_verify, {
+        "identity": {"choices": IDENTITY_SUITES + ("all",), "default": "all",
+                     "help": "which suite to run (default all)"},
+        "p": {"type": int, "help": "restrict the sweep to one parameter pair"},
+        "q": {"type": int},
+        "max": {"type": int, "help": "override the index bound"},
+        "order": {"type": int, "help": "series truncation order where applicable"},
+        "alpha": {"type": int, "help": "fibonomial recurrence multiplier"},
+        "sample": {"type": int, "help": "randomly subsample the parameter grid"},
+        "seed": {"type": int, "default": 0, "help": "sampling seed (default 0)"},
+        "format": _FORMAT,
+    }),
+    "oracle": ("cross-check against brute-force counts", _cmd_oracle, {
+        "which": {"choices": ORACLE_SUITES + ("all",), "default": "all", "help": "which oracle to run (default all)"},
+        "max": {"type": int, "help": "override the index bound"},
+        "format": _FORMAT,
+    }),
+}
+"""Per command: its help line, its handler and, per flag (its name without
+``--`` is also its attribute), the keyword arguments of ``add_argument``.
+Every flag takes an int, takes one of its choices, or is a store_true switch."""
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tnomial",
         description="Exact tileable-sequence coefficients and their identity checks.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    coeff = commands.add_parser("coeff", help="evaluate one coefficient")
-    coeff.add_argument("--p", type=int, help="first parameter")
-    coeff.add_argument("--q", type=int, help="second parameter")
-    coeff.add_argument("--scale", type=int, default=1, help="sequence scale (default 1)")
-    coeff.add_argument("--n", type=int, required=True, help="row index")
-    coeff.add_argument("--k", type=int, required=True, help="column index")
-    coeff.add_argument(
-        "--route", choices=ROUTE_NAMES, default="recurrence", help="computation route"
-    )
-    coeff.add_argument(
-        "--symbolic",
-        action="store_true",
-        help="print the entry as a polynomial in p and q instead of evaluating",
-    )
-    _add_format(coeff)
-    coeff.set_defaults(handler=_cmd_coeff)
-
-    table = commands.add_parser("table", help="print triangle rows 0..max")
-    table.add_argument("--p", type=int, required=True)
-    table.add_argument("--q", type=int, required=True)
-    table.add_argument("--scale", type=int, default=1)
-    table.add_argument("--max", type=int, required=True, help="largest row index")
-    _add_format(table)
-    table.set_defaults(handler=_cmd_table)
-
-    verify = commands.add_parser("verify", help="sweep an identity suite")
-    verify.add_argument(
-        "--identity",
-        choices=IDENTITY_SUITES + ("all",),
-        default="all",
-        help="which suite to run (default all)",
-    )
-    verify.add_argument("--p", type=int, help="restrict the sweep to one parameter pair")
-    verify.add_argument("--q", type=int)
-    verify.add_argument("--max", type=int, help="override the index bound")
-    verify.add_argument("--order", type=int, help="series truncation order where applicable")
-    verify.add_argument("--alpha", type=int, help="fibonomial recurrence multiplier")
-    verify.add_argument("--sample", type=int, help="randomly subsample the parameter grid")
-    verify.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    _add_format(verify)
-    verify.set_defaults(handler=_cmd_verify)
-
-    oracle = commands.add_parser("oracle", help="cross-check against brute-force counts")
-    oracle.add_argument(
-        "--which",
-        choices=ORACLE_SUITES + ("all",),
-        default="all",
-        help="which oracle to run (default all)",
-    )
-    oracle.add_argument("--max", type=int, help="override the index bound")
-    _add_format(oracle)
-    oracle.set_defaults(handler=_cmd_oracle)
-
+    for name, (summary, handler, options) in _COMMANDS.items():
+        command = commands.add_parser(name, help=summary)
+        for flag, kwargs in options.items():
+            command.add_argument(f"--{flag}", **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
+def _parse_canonical(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)``, read from ``_COMMANDS`` alone, for
+    a command followed by whole ``--flag value`` and ``--flag`` tokens of it,
+    each at most once, with ASCII ints, exact choices and every required
+    flag.  None for any other command line: argparse reads those, and it
+    alone writes help and error messages."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    values = {flag: kwargs.get("default") for flag, kwargs in options.items()}
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = token[2:]
+        if not token.startswith("--") or flag not in options or flag in seen:
+            return None
+        seen.add(flag)
+        kwargs = options[flag]
+        if kwargs.get("action") == "store_true":
+            values[flag] = True
+            continue
+        value = next(tokens, "")
+        if "choices" in kwargs:
+            if value not in kwargs["choices"]:
+                return None
+        else:
+            digits = value.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # more digits than the interpreter converts
+                return None
+        values[flag] = value
+    if any(kwargs.get("required") and flag not in seen for flag, kwargs in options.items()):
+        return None
+    return SimpleNamespace(command=argv[0], **values, handler=handler)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv, SimpleNamespace())
     try:
         status = args.handler(args, sys.stdout)
         sys.stdout.flush()

@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +389,158 @@ class TestOracle:
         assert rc == 2
         assert out == ""
         assert err == "error: selection counting would enumerate 2 objects, budget is 1\n"
+
+
+COEFF_USAGE = """\
+usage: tnomial coeff [-h] [--p P] [--q Q] [--scale SCALE] --n N --k K
+                     [--route {recurrence,factorial,product,subset,multiset,partial-fractions,inverse}]
+                     [--symbolic] [--format {plain,json,csv}]
+"""
+
+TOP_USAGE = "usage: tnomial [-h] {coeff,table,verify,oracle} ...\n"
+
+HELP_TEXT = {
+    (): TOP_USAGE + """
+Exact tileable-sequence coefficients and their identity checks.
+
+positional arguments:
+  {coeff,table,verify,oracle}
+    coeff               evaluate one coefficient
+    table               print triangle rows 0..max
+    verify              sweep an identity suite
+    oracle              cross-check against brute-force counts
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("coeff",): COEFF_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --p P                 first parameter
+  --q Q                 second parameter
+  --scale SCALE         sequence scale (default 1)
+  --n N                 row index
+  --k K                 column index
+  --route {recurrence,factorial,product,subset,multiset,partial-fractions,inverse}
+                        computation route
+  --symbolic            print the entry as a polynomial in p and q instead of
+                        evaluating
+  --format {plain,json,csv}
+                        output format
+""",
+    ("table",): """\
+usage: tnomial table [-h] --p P --q Q [--scale SCALE] --max MAX
+                     [--format {plain,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --q Q
+  --scale SCALE
+  --max MAX             largest row index
+  --format {plain,json,csv}
+                        output format
+""",
+    ("verify",): """\
+usage: tnomial verify [-h]
+                      [--identity {routes,gf,binomial,orthogonality,vandermonde,equal1,inversion,fibonomial,specializations,all}]
+                      [--p P] [--q Q] [--max MAX] [--order ORDER]
+                      [--alpha ALPHA] [--sample SAMPLE] [--seed SEED]
+                      [--format {plain,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --identity {routes,gf,binomial,orthogonality,vandermonde,equal1,inversion,fibonomial,specializations,all}
+                        which suite to run (default all)
+  --p P                 restrict the sweep to one parameter pair
+  --q Q
+  --max MAX             override the index bound
+  --order ORDER         series truncation order where applicable
+  --alpha ALPHA         fibonomial recurrence multiplier
+  --sample SAMPLE       randomly subsample the parameter grid
+  --seed SEED           sampling seed (default 0)
+  --format {plain,json,csv}
+                        output format
+""",
+    ("oracle",): """\
+usage: tnomial oracle [-h]
+                      [--which {selections,bipartite,dag,volume,inverse-relation,all}]
+                      [--max MAX] [--format {plain,json,csv}]
+
+options:
+  -h, --help            show this help message and exit
+  --which {selections,bipartite,dag,volume,inverse-relation,all}
+                        which oracle to run (default all)
+  --max MAX             override the index bound
+  --format {plain,json,csv}
+                        output format
+""",
+}
+
+COEFF_ARGS = ("coeff", "--p", "2", "--q", "3", "--n", "4", "--k", "2")
+
+ERROR_TEXT = {
+    ("coeff", "--p", "2", "--q", "3", "--k", "2"):
+        COEFF_USAGE + "tnomial coeff: error: the following arguments are required: --n\n",
+    COEFF_ARGS + ("--route", "nonsense"): COEFF_USAGE + (
+        "tnomial coeff: error: argument --route: invalid choice: 'nonsense' (choose from 'recurrence', "
+        "'factorial', 'product', 'subset', 'multiset', 'partial-fractions', 'inverse')\n"
+    ),
+    ("coeff", "--p", "x", "--q", "3", "--n", "4", "--k", "2"):
+        COEFF_USAGE + "tnomial coeff: error: argument --p: invalid int value: 'x'\n",
+    COEFF_ARGS + ("--bogus", "1"): TOP_USAGE + "tnomial: error: unrecognized arguments: --bogus 1\n",
+    (): TOP_USAGE + "tnomial: error: the following arguments are required: command\n",
+}
+
+
+class TestArgparseText:
+    """Help and error text, which argparse alone writes, at 80 columns."""
+
+    @pytest.mark.parametrize("command", list(HELP_TEXT))
+    def test_help(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command, "-h"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (HELP_TEXT[command], "")
+
+    @pytest.mark.parametrize("argv", list(ERROR_TEXT))
+    def test_error(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr() == ("", ERROR_TEXT[argv])
+
+
+def _fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_canonical_call_imports_no_argparse():
+    result = _fresh_interpreter(
+        "import sys\n"
+        "from tnomial import cli\n"
+        f"status = cli.main({list(COEFF_ARGS)!r})\n"
+        "print(status, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "247\n0 []\n", "")
+
+
+def test_help_still_builds_argparse():
+    result = _fresh_interpreter(
+        "import sys\n"
+        "from tnomial import cli\n"
+        "try:\n"
+        "    cli.main(['coeff', '--help'])\n"
+        "finally:\n"
+        "    print('argparse' in sys.modules)\n"
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: tnomial coeff [-h]")
+    assert result.stdout.endswith("\nTrue\n")
 
 
 def test_console_script_entry_point():

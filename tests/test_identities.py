@@ -28,6 +28,7 @@ from tnomial.identities import (
 )
 from tnomial.rings import BiPoly, QuadElem, series_product
 from tnomial.sequences import SeqParams
+from tnomial.suites import pq_grid
 
 params_23 = SeqParams(2, 3)
 
@@ -168,6 +169,17 @@ class TestOrthogonality:
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 7), st.integers(1, 7))
     def test_holds(self, p, q, n, s):
         assert orthogonality(SeqParams(p, q), n, s)
+
+    def test_dot_product_is_series_coefficient(self):
+        # orthogonality reads coefficient s of the product as one dot product.
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(1, 9):
+                for s in range(1, 9):
+                    subset = expand_subset_gf(n, params, s + 1)
+                    multiset = expand_multiset_gf(n, s + 1, params)
+                    dot = sum(subset[i] * multiset[s - i] for i in range(s + 1))
+                    assert dot == (subset * multiset)[s], (p, q, n, s)
 
 
 class TestVandermonde:
