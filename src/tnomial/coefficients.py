@@ -8,7 +8,7 @@ routes is meaningful evidence:
 
 * factorial ratio of term factorials,
 * the additive triangle recurrence (also symbolically over Z[p, q]),
-* a telescoping product of term ratios accumulated in exact rationals,
+* a telescoping product of term ratios, as one exact integer quotient,
 * multiset / subset sums of box weights q**(i-1) * p**(n-i),
 * an alternating partial-fraction sum over the nodes q**s * p**(k-s).
 
@@ -197,25 +197,28 @@ def coeff_product(params: SeqParams, n: int, k: int) -> int:
     """C(n, k) as the product over i = 1..k of the term ratios.
 
     For p != q each factor is (p**(n-i+1) - q**(n-i+1)) / (p**i - q**i);
-    the factors are accumulated in exact rationals without reordering and
-    the final value must come out integral.  On the diagonal p = q the
-    product collapses to comb(n, k) * p**(k*(n-k)).
+    the numerators and the denominators are multiplied up as two integers,
+    and their quotient must come out exact (a remainder raises
+    DivisibilityError with the ratio in lowest terms).  On the diagonal
+    p = q the product collapses to comb(n, k) * p**(k*(n-k)).
     """
     _check_indices(n, k)
     p, q = params.p, params.q
     if p == q:
         return comb(n, k) * p ** (k * (n - k))
-    acc = Fraction(1)
+    numerator = denominator = 1
     for i in range(1, k + 1):
-        denominator = p**i - q**i
-        if denominator == 0:
+        factor = p**i - q**i
+        if factor == 0:
             raise DegenerateParametersError(
                 f"p**{i} == q**{i} for p={p}, q={q}: product route undefined"
             )
-        acc *= Fraction(p ** (n - i + 1) - q ** (n - i + 1), denominator)
-    if acc.denominator != 1:
-        raise DivisibilityError(acc.numerator, acc.denominator)
-    return acc.numerator
+        numerator *= p ** (n - i + 1) - q ** (n - i + 1)
+        denominator *= factor
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise DivisibilityError(*Fraction(numerator, denominator).as_integer_ratio())
+    return quotient
 
 
 def box_weights(params: SeqParams, n: int) -> list[int]:

@@ -162,15 +162,23 @@ def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = No
 def orthogonality(params: SeqParams, n: int, s: int) -> bool:
     """Check that the subset and multiset series annihilate each other.
 
-    Evaluates the alternating convolution
-    sum_{k=0..s} (-1)**k (pq)**C(k,2) C(n, k) C(n+s-k-1, n-1) directly,
-    confirms coefficients 0 and s of the product of the expanded series,
-    and for s = n additionally evaluates the reversed arrangement
+    Expands both series to order s + 1, then evaluates the alternating
+    convolution sum_{k=0..s} (-1)**k (pq)**C(k,2) C(n, k) C(n+s-k-1, n-1)
+    directly, confirms coefficients 0 and s of the product of the expanded
+    series, and for s = n additionally evaluates the reversed arrangement
     sum_{k=0..n} C(n+k-1, k) (-1)**(n-k) (pq)**C(n-k,2) C(n, k).
     Returns False on any nonzero value.
     """
     if n < 1 or s < 1:
         raise ValueError("n and s must be positive")
+    subset = expand_subset_gf(n, params, s + 1)
+    multiset = expand_multiset_gf(n, s + 1, params)
+    return _orthogonal_at(params, n, s, subset, multiset)
+
+
+def _orthogonal_at(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries) -> bool:
+    """The checks of ``orthogonality`` at s, on the subset and multiset
+    series of n already expanded to an order above s."""
     p, q = params.p, params.q
     direct = sum(
         (-1) ** k
@@ -180,8 +188,6 @@ def orthogonality(params: SeqParams, n: int, s: int) -> bool:
         for k in range(min(n, s) + 1)  # C(n, k) = 0 for k > n
     )
     ok = direct == 0
-    subset = expand_subset_gf(n, params, s + 1)
-    multiset = expand_multiset_gf(n, s + 1, params)
     # Coefficients 0 and s of the series product, without forming the rest.
     ok = ok and subset[0] * multiset[0] == 1
     ok = ok and sum(subset[i] * multiset[s - i] for i in range(s + 1)) == 0

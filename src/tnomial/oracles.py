@@ -17,7 +17,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import mul
 from typing import Callable
 
 from .errors import BudgetExceededError, SingularMatrixError
@@ -209,35 +210,47 @@ class TriMatrix:
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        rows = []
-        for i in range(self.order):
-            rows.append(
-                tuple(
-                    sum((self.rows[i][m] * other.rows[m][j] for m in range(j, i + 1)), Fraction(0))
-                    for j in range(i + 1)
-                )
+        a, a_den = _numerators(self)
+        b, b_den = _numerators(other)
+        columns = [[b[m][j] for m in range(j, other.order)] for j in range(other.order)]
+        den = a_den * b_den
+        return TriMatrix(
+            tuple(
+                tuple(Fraction(sum(map(mul, a[i][j:], columns[j])), den) for j in range(i + 1))
+                for i in range(self.order)
             )
-        return TriMatrix(tuple(rows))
+        )
+
+
+def _numerators(matrix: TriMatrix) -> tuple[list[list[int]], int]:
+    """Integer numerators of the entries over den, the lcm of their denominators."""
+    den = lcm(*(entry.denominator for row in matrix.rows for entry in row))
+    return [[entry.numerator * (den // entry.denominator) for entry in row] for row in matrix.rows], den
 
 
 def invert_triangular(matrix: TriMatrix) -> TriMatrix:
-    """Exact inverse of a lower-triangular matrix by forward substitution."""
+    """Exact inverse of a lower-triangular matrix by forward substitution.
+
+    Fraction-free on the integer numerators M = den * ``matrix``, one column
+    j at a time: entry (i, j) of M**-1 is an integer over the running scale
+    m_jj * ... * m_ii, so each new diagonal entry rescales the column.
+    """
     order = matrix.order
     for i in range(order):
         if matrix.rows[i][i] == 0:
             raise SingularMatrixError(f"zero diagonal entry at row {i}")
-    inverse: list[list[Fraction]] = []
-    for i in range(order):
-        row = []
-        for j in range(i + 1):
-            if j == i:
-                row.append(1 / matrix.rows[i][i])
-            else:
-                acc = sum(
-                    (matrix.rows[i][m] * inverse[m][j] for m in range(j, i)), Fraction(0)
-                )
-                row.append(-acc / matrix.rows[i][i])
-        inverse.append(row)
+    rows, den = _numerators(matrix)
+    inverse: list[list[Fraction]] = [[] for _ in range(order)]
+    for j in range(order):
+        column: list[int] = []
+        scale = 1
+        for i in range(j, order):
+            numerator = -sum(map(mul, rows[i][j:i], column)) if i > j else 1
+            diagonal = rows[i][i]
+            column = [entry * diagonal for entry in column]
+            column.append(numerator)
+            scale *= diagonal
+            inverse[i].append(Fraction(den * numerator, scale))
     return TriMatrix(tuple(tuple(row) for row in inverse))
 
 

@@ -27,6 +27,7 @@ from .coefficients import (
 from .errors import DegenerateParametersError, IdentityViolation
 from .identities import (
     _binom2,
+    _orthogonal_at,
     binomial_like,
     equal1_check,
     expand_multiset_gf,
@@ -36,7 +37,6 @@ from .identities import (
     gaussian_basis_check,
     gaussian_explicit,
     gaussian_inverse_entry,
-    orthogonality,
     vandermonde_terms,
 )
 from .oracles import (
@@ -175,11 +175,20 @@ def binomial_suite(n_max: int = 7) -> IdentityReport:
 
 
 def _orthogonality_points(grid, n_max, s_max):
+    if s_max < 1:
+        return
     for p, q in grid:
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
+            # Both series of n once, to the highest order any s reads; a
+            # violation in either is one failing point at its location.
+            subset = _asserted(expand_subset_gf, n, params, s_max + 1)
+            multiset = _asserted(expand_multiset_gf, n, s_max + 1, params)
+            for where, lhs, rhs in (subset, multiset):
+                if where is not None:
+                    yield p, q, n, where, lhs, rhs
             for s in range(1, s_max + 1):
-                yield p, q, n, s, orthogonality(params, n, s), True
+                yield p, q, n, s, _orthogonal_at(params, n, s, subset[1], multiset[1]), True
 
 
 def orthogonality_suite(

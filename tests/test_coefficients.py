@@ -90,6 +90,23 @@ def factorial_ratio(params, n, k):
     return exact_div(term_factorial(params, n), denominator)
 
 
+def fraction_product(params, n, k):
+    """The telescoping product with a reduced Fraction accumulated per factor."""
+    coefficients._check_indices(n, k)
+    p, q = params.p, params.q
+    if p == q:
+        return comb(n, k) * p ** (k * (n - k))
+    acc = Fraction(1)
+    for i in range(1, k + 1):
+        denominator = p**i - q**i
+        if denominator == 0:
+            raise DegenerateParametersError(f"p**{i} == q**{i} for p={p}, q={q}: product route undefined")
+        acc *= Fraction(p ** (n - i + 1) - q ** (n - i + 1), denominator)
+    if acc.denominator != 1:
+        raise DivisibilityError(acc.numerator, acc.denominator)
+    return acc.numerator
+
+
 def sparse_symbolic_rows(n_max):
     """Rows 0..n_max of the symbolic triangle, multiplying sparse BiPoly
     entries by monomials."""
@@ -200,6 +217,19 @@ class TestRewrittenRoutesAgainstReferences:
         for params, n, k in self.small_grid:
             expected = outcome(factorial_ratio, params, n, k)
             assert outcome(coeff_factorial, params, n, k) == expected, (params, n, k)
+
+    def test_product_matches_fraction_accumulation(self):
+        grid = [
+            (SeqParams(p, q), n, k)
+            for p in range(-3, 5)
+            for q in range(-3, 5)
+            for n in range(14)
+            for k in range(-1, n + 2)
+        ]
+        grid += [(SeqParams(2, 3), 600, 300), (SeqParams(3, -2), 600, 300)]
+        for params, n, k in grid:
+            expected = outcome(fraction_product, params, n, k)
+            assert outcome(coeff_product, params, n, k) == expected, (params, n, k)
 
     def test_subset_band_matches_the_full_loop(self):
         for params, n, k in self.small_grid + [(params_23, -1, 0)]:

@@ -11,6 +11,7 @@ from tnomial import identities
 from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coeff_symbolic
 from tnomial.errors import DegenerateParametersError, IdentityViolation
 from tnomial.identities import (
+    _orthogonal_at,
     alpha_fibonacci,
     binomial_like,
     equal1_check,
@@ -180,6 +181,17 @@ class TestOrthogonality:
                     multiset = expand_multiset_gf(n, s + 1, params)
                     dot = sum(subset[i] * multiset[s - i] for i in range(s + 1))
                     assert dot == (subset * multiset)[s], (p, q, n, s)
+
+    def test_equals_the_check_on_series_expanded_once(self):
+        # the orthogonality suite expands each n's series once, to order 9
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(1, 9):
+                subset = expand_subset_gf(n, params, 9)
+                multiset = expand_multiset_gf(n, 9, params)
+                for s in range(1, 9):
+                    expected = _orthogonal_at(params, n, s, subset, multiset)
+                    assert orthogonality(params, n, s) is expected, (p, q, n, s)
 
 
 class TestVandermonde:

@@ -8,6 +8,8 @@ from pathlib import Path
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tnomial import oracles
 from tnomial.errors import BudgetExceededError, SingularMatrixError
@@ -28,6 +30,48 @@ from tnomial.coefficients import coeff_recurrence
 from tnomial.sequences import SeqParams
 
 params_23 = SeqParams(2, 3)
+
+
+def fraction_matmul(a, b):
+    """The triangular product summed entry by entry in Fractions."""
+    return tuple(
+        tuple(sum((a.rows[i][m] * b.rows[m][j] for m in range(j, i + 1)), Fraction(0)) for j in range(i + 1))
+        for i in range(a.order)
+    )
+
+
+def fraction_inverse(matrix):
+    """Forward substitution row by row in Fractions."""
+    for i in range(matrix.order):
+        if matrix.rows[i][i] == 0:
+            raise SingularMatrixError(f"zero diagonal entry at row {i}")
+    inverse = []
+    for i in range(matrix.order):
+        row = []
+        for j in range(i + 1):
+            if j == i:
+                row.append(1 / matrix.rows[i][i])
+            else:
+                acc = sum((matrix.rows[i][m] * inverse[m][j] for m in range(j, i)), Fraction(0))
+                row.append(-acc / matrix.rows[i][i])
+        inverse.append(tuple(row))
+    return tuple(inverse)
+
+
+entries = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12))
+nonzero = entries.filter(bool)
+
+
+@st.composite
+def triangular(draw, diagonal=nonzero, order=None):
+    """A lower-triangular matrix of order 0..7 over ints and rationals."""
+    size = draw(st.integers(0, 7)) if order is None else order
+    return TriMatrix(tuple(tuple(draw(diagonal if j == i else entries) for j in range(i + 1)) for i in range(size)))
+
+
+def fraction_rows(matrix):
+    assert all(type(entry) is Fraction for row in matrix.rows for entry in row)
+    return matrix.rows
 
 
 class TestBoxWeights:
@@ -161,6 +205,26 @@ class TestTriMatrix:
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             invert_triangular(TriMatrix(((1,), (2, 0))))
+
+    @given(st.data())
+    def test_matmul_matches_fraction_sums(self, data):
+        a = data.draw(triangular(diagonal=entries))
+        b = data.draw(triangular(diagonal=entries, order=a.order))
+        assert fraction_rows(a @ b) == fraction_matmul(a, b)
+
+    @given(triangular())
+    def test_inverse_matches_fraction_substitution(self, matrix):
+        assert fraction_rows(invert_triangular(matrix)) == fraction_inverse(matrix)
+
+    @given(triangular(diagonal=entries))
+    def test_zero_diagonal_message_unchanged(self, matrix):
+        try:
+            expected = fraction_inverse(matrix)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError, match=f"^{exc}$"):
+                invert_triangular(matrix)
+        else:
+            assert fraction_rows(invert_triangular(matrix)) == expected
 
 
 class TestVolumeRatio:

@@ -5,9 +5,12 @@ from __future__ import annotations
 
 import pytest
 
+from tnomial import identities, suites
+from tnomial.report import IdentityReport
 from tnomial.suites import (
     IDENTITY_SUITES,
     ORACLE_SUITES,
+    orthogonality_suite,
     pq_grid,
     run_oracle,
     run_verify,
@@ -55,3 +58,35 @@ def test_unknown_names_rejected():
         run_verify("numerology")
     with pytest.raises(ValueError):
         run_oracle("numerology")
+
+
+def test_orthogonality_violation_is_a_failing_point(monkeypatch):
+    recurrence = identities.coeff_recurrence
+
+    def off_by_one_at_3_2(params, n, k):
+        return recurrence(params, n, k) + ((n, k) == (3, 2))
+
+    monkeypatch.setattr(identities, "coeff_recurrence", off_by_one_at_3_2)
+    report = orthogonality_suite([(2, 3)], 4, 4)
+    assert report.status == "fails"
+    # n = 1 passes at every s; n = 2's multiset series reads C(3, 2) as coefficient 2
+    assert report.checked == 5
+    assert report.first_counterexample == {
+        "p": 2, "q": 3, "n": 2, "s": "multiset-gf at (2, 2)", "lhs": 19, "rhs": 20,
+    }
+
+
+def test_orthogonality_expands_each_series_once_per_n(monkeypatch):
+    calls = {"expand_subset_gf": 0, "expand_multiset_gf": 0}
+    for name in calls:
+        original = getattr(identities, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (identities, suites):
+            monkeypatch.setattr(module, name, counting)
+    report = orthogonality_suite([(2, 3)], 5, 7)
+    assert calls == {"expand_subset_gf": 5, "expand_multiset_gf": 5}
+    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=35)
