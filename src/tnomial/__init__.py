@@ -31,6 +31,7 @@ from .coefficients import (
     coeff_recurrence,
     coeff_route,
     coeff_symbolic,
+    inverse_rows,
     multinomial,
     set_cache_limit,
     triangle_rows,
@@ -144,6 +145,7 @@ __all__ = [
     "gaussian_inverse_entry",
     "geometric_series",
     "gf_coefficients",
+    "inverse_rows",
     "invert_triangular",
     "make_report",
     "multinomial",

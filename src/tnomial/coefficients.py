@@ -22,6 +22,7 @@ import threading
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
+from operator import mul
 from typing import Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
@@ -348,14 +349,27 @@ def coeff_inverse(params: SeqParams, n: int, k: int) -> int:
     if k == n:
         return 1
     r = n - k
-    low: list[list[int]] = []
+    a: list[int] = []
     for row in triangle_rows(params, n):
-        if len(low) <= r:
-            low.append(row)
-    a = [1]
-    for m in range(1, r + 1):
-        a.append(-sum(low[m][i] * a[m - i] for i in range(1, m + 1)))
+        if len(a) <= r:
+            a.append(_composition_sum(row, a))
     return row[k] * a[r]  # row is row n, the last one yielded
+
+
+def inverse_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
+    """Rows 0..n_max of the inverse triangle, entry (n, k) = C(n, k) * a(n - k)
+    as in ``coeff_inverse``, from one pass of ``triangle_rows``: a(n) is
+    computed once, from row n, when that row is reached."""
+    a: list[int] = []
+    for row in triangle_rows(params, n_max):
+        a.append(_composition_sum(row, a))
+        yield list(map(mul, row, reversed(a)))
+
+
+def _composition_sum(row: list[int], a: list[int]) -> int:
+    """a(m) from row m of the triangle and a(0..m-1): a(0) = 1 and
+    a(m) = -sum over i = 1..m of C(m, i) * a(m - i)."""
+    return -sum(map(mul, row[1:], reversed(a))) if a else 1
 
 
 ROUTE_NAMES = (

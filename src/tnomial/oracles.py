@@ -93,13 +93,7 @@ def count_selections(boxes: BoxWeights, k: int, repetition: bool) -> int:
         size = comb(n, k)
     _check_budget(size, "selection counting")
     chooser = combinations_with_replacement if repetition else combinations
-    total = 0
-    for indices in chooser(range(n), k):
-        ways = 1
-        for i in indices:
-            ways *= boxes.weights[i]
-        total += ways
-    return total
+    return sum(map(prod, chooser(boxes.weights, k)))
 
 
 def count_bipartite_multigraphs(alpha: int, n: int, k: int) -> int:
@@ -125,31 +119,15 @@ def count_bipartite_multigraphs(alpha: int, n: int, k: int) -> int:
     return total
 
 
-def _is_acyclic(n: int, arcs: list[tuple[int, int]]) -> bool:
-    indegree = [0] * n
-    outgoing: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        outgoing[u].append(v)
-        indegree[v] += 1
-    stack = [v for v in range(n) if indegree[v] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
-        for v in outgoing[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                stack.append(v)
-    return seen == n
-
-
 def count_acyclic_multidigraphs(p_val: int, n: int) -> int:
     """Labeled acyclic multi-digraphs on n vertices, arc multiplicities
     in {0, ..., p_val - 1}.
 
-    Enumerates every support digraph over the n(n-1) ordered pairs with a
-    cycle check; each present arc then carries one of p_val - 1 nonzero
-    multiplicities independently.  Hard cap: n <= 4.
+    Enumerates every support digraph once, as a tuple of per-vertex
+    out-neighbour bitmasks, and checks it for a cycle by peeling: a vertex
+    with no arc into the vertices that remain is removed until none are
+    left, or none can be.  Each present arc then carries one of p_val - 1
+    nonzero multiplicities independently.  Hard cap: n <= 4.
     """
     if p_val < 2:
         raise ValueError("p_val must be at least 2")
@@ -157,13 +135,23 @@ def count_acyclic_multidigraphs(p_val: int, n: int) -> int:
         raise ValueError("n must be nonnegative")
     if n > 4:
         raise BudgetExceededError(f"acyclic-digraph oracle capped at n <= 4, got n={n}")
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    _check_budget(2 ** len(pairs), "acyclic-digraph counting")
+    _check_budget(2 ** (n * (n - 1)), "acyclic-digraph counting")
+    everyone = (1 << n) - 1
+    out_sets = [
+        [(out, bin(out).count("1")) for out in range(everyone + 1) if not out >> v & 1] for v in range(n)
+    ]
     total = 0
-    for present in product((0, 1), repeat=len(pairs)):
-        arcs = [pair for pair, bit in zip(pairs, present) if bit]
-        if _is_acyclic(n, arcs):
-            total += (p_val - 1) ** len(arcs)
+    for support in product(*out_sets):
+        remaining = everyone
+        while remaining:
+            for v, (out, _) in enumerate(support):
+                if remaining >> v & 1 and not out & remaining:
+                    remaining ^= 1 << v
+                    break
+            else:
+                break  # every remaining vertex has an arc into the rest: a cycle
+        if not remaining:
+            total += (p_val - 1) ** sum(arcs for _, arcs in support)
     return total
 
 
@@ -191,7 +179,7 @@ class TriMatrix:
     rows: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(tuple(Fraction(entry) for entry in row) for row in self.rows)
+        coerced = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in self.rows)
         object.__setattr__(self, "rows", coerced)
         for i, row in enumerate(self.rows):
             if len(row) != i + 1:
@@ -288,11 +276,10 @@ def verify_inverse_relation(p_val: int, n_max: int) -> IdentityReport:
 def _inverse_relation_points(p_val: int, n_max: int):
     # Imported here so the enumeration code paths above stay independent
     # of the coefficient formulas; this generator pairs the two.
-    from .coefficients import coeff_inverse
+    from .coefficients import inverse_rows
 
-    params = SeqParams(p_val, p_val)
     dag_counts = [count_acyclic_multidigraphs_recurrence(p_val, r) for r in range(n_max + 1)]
-    for n in range(n_max + 1):
-        for k in range(n + 1):
+    for n, row in enumerate(inverse_rows(SeqParams(p_val, p_val), n_max)):
+        for k, entry in enumerate(row):
             expected = (-1) ** (n - k) * dag_counts[n - k] * comb(n, k) * p_val ** (k * (n - k))
-            yield n, k, coeff_inverse(params, n, k), expected
+            yield n, k, entry, expected

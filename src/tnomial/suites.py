@@ -12,17 +12,19 @@ run through the public wrappers.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from math import comb
 
 from .coefficients import (
     coeff_factorial,
-    coeff_inverse,
     coeff_lambda_multiset,
     coeff_lambda_subset,
     coeff_partial_fractions,
     coeff_product,
     coeff_recurrence,
     coeff_symbolic,
+    inverse_rows,
+    triangle_rows,
 )
 from .errors import DegenerateParametersError, IdentityViolation
 from .identities import (
@@ -256,17 +258,19 @@ def equal1_suite(grid: list[tuple[int, int]] | None = None, k_max: int = 8) -> I
     return sweep("unit-sum", _grid_label(grid), (k_max, k_max), ("p", "q", "k"), points)
 
 
+def _rows(rows_of, params: SeqParams, n_max: int):
+    """``rows_of(params, n_max)``, or no rows for n_max < 0, where a suite's
+    index range is empty."""
+    return rows_of(params, n_max) if n_max >= 0 else iter(())
+
+
 def _inversion_points(grid, order):
     size = order + 1
     identity = TriMatrix.identity(size)
     for p, q in grid:
         params = SeqParams(p, q)
-        triangle = TriMatrix(
-            tuple(tuple(coeff_recurrence(params, n, k) for k in range(n + 1)) for n in range(size))
-        )
-        inverse = TriMatrix(
-            tuple(tuple(coeff_inverse(params, n, k) for k in range(n + 1)) for n in range(size))
-        )
+        triangle = TriMatrix(tuple(map(tuple, _rows(triangle_rows, params, order))))
+        inverse = TriMatrix(tuple(map(tuple, _rows(inverse_rows, params, order))))
         substituted = invert_triangular(triangle)
         for n in range(size):
             for k in range(n + 1):
@@ -290,10 +294,10 @@ def fibonomial_reports(alphas: tuple[int, ...] = (1, 2), n_max: int = 10) -> lis
 
 def _specialization_points(n_max):
     ones = SeqParams(1, 1)
-    for n in range(n_max + 1):
+    for n, inverse in enumerate(_rows(inverse_rows, ones, n_max)):
         for k in range(n + 1):
             yield "pascal", 1, 1, 1, n, k, coeff_recurrence(ones, n, k), comb(n, k)
-            yield "pascal-inverse", 1, 1, 1, n, k, coeff_inverse(ones, n, k), (-1) ** (n - k) * comb(n, k)
+            yield "pascal-inverse", 1, 1, 1, n, k, inverse[k], (-1) ** (n - k) * comb(n, k)
 
     for q_val in (2, 3):
         params = SeqParams(1, q_val)
@@ -302,10 +306,9 @@ def _specialization_points(n_max):
                 where, value, expected = _asserted(gaussian_explicit, q_val, n, k)
                 yield "gaussian-explicit", 1, q_val, 1, n, k, where, value, expected
             yield "gaussian-basis", 1, q_val, 1, n, gaussian_basis_check(q_val, n), True
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                expected = gaussian_inverse_entry(q_val, n, k)
-                yield "gaussian-inverse", 1, q_val, 1, n, k, coeff_inverse(params, n, k), expected
+        for n, inverse in enumerate(_rows(inverse_rows, params, n_max)):
+            for k, entry in enumerate(inverse):
+                yield "gaussian-inverse", 1, q_val, 1, n, k, entry, gaussian_inverse_entry(q_val, n, k)
 
     for p, q in ((2, 3), (1, 2), (2, 2)):
         reference = SeqParams(p, q)
@@ -374,11 +377,13 @@ ACYCLIC_BASE_COUNTS = (1, 1, 3, 25, 543)
 
 
 def _dag_points(n_max):
+    base = []  # p = 2, counted once per n and compared twice
     for n in range(n_max + 1):
-        yield 2, n, count_acyclic_multidigraphs(2, n), ACYCLIC_BASE_COUNTS[n]
+        base.append(count_acyclic_multidigraphs(2, n))
+        yield 2, n, base[n], ACYCLIC_BASE_COUNTS[n]
     for p_val in (2, 3):
         for n in range(n_max + 1):
-            brute = count_acyclic_multidigraphs(p_val, n)
+            brute = base[n] if p_val == 2 else count_acyclic_multidigraphs(p_val, n)
             yield p_val, n, brute, count_acyclic_multidigraphs_recurrence(p_val, n)
 
 
@@ -412,10 +417,6 @@ def _given(**bounds: int | None) -> dict[str, int]:
     return {name: value for name, value in bounds.items() if value is not None}
 
 
-def _capped(n_max: int | None, cap: int) -> dict[str, int]:
-    return {} if n_max is None else {"n_max": min(n_max, cap)}
-
-
 _IDENTITY_CALLS = {
     "routes": lambda grid, n, order: [routes_suite(grid, **_given(n_max=n))],
     "gf": lambda grid, n, order: [gf_suite(grid, **_given(n_max=n, order=order))],
@@ -428,12 +429,12 @@ _IDENTITY_CALLS = {
     "specializations": lambda grid, n, order: [specialization_suite(**_given(n_max=n))],
 }
 
-_ORACLE_CALLS = {
-    "selections": lambda n: [selections_oracle_suite(**_capped(n, 8))],
-    "bipartite": lambda n: [bipartite_oracle_suite(**_capped(n, 5))],
-    "dag": lambda n: [dag_oracle_suite(**_capped(n, 4))],
-    "volume": lambda n: [volume_oracle_suite(**_capped(n, 8))],
-    "inverse-relation": lambda n: inverse_relation_reports(**_capped(n, 8)),
+_ORACLE_CALLS = {  # name: (largest n_max the brute-force counters accept, call)
+    "selections": (8, lambda n: [selections_oracle_suite(**_given(n_max=n))]),
+    "bipartite": (5, lambda n: [bipartite_oracle_suite(**_given(n_max=n))]),
+    "dag": (4, lambda n: [dag_oracle_suite(**_given(n_max=n))]),
+    "volume": (8, lambda n: [volume_oracle_suite(**_given(n_max=n))]),
+    "inverse-relation": (8, lambda n: inverse_relation_reports(**_given(n_max=n))),
 }
 
 IDENTITY_SUITES = tuple(_IDENTITY_CALLS)
@@ -459,9 +460,13 @@ def run_verify(
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:
     """Run one named oracle cross-check (or all of them); ``n_max`` None
     takes each oracle's default, and larger values are capped at what the
-    brute-force counters accept."""
+    brute-force counters accept, with a note on each report saying so."""
     if which == "all":
         return [report for name in ORACLE_SUITES for report in run_oracle(name, n_max)]
     if which not in _ORACLE_CALLS:
         raise ValueError(f"unknown oracle suite {which!r}")
-    return _ORACLE_CALLS[which](n_max)
+    cap, call = _ORACLE_CALLS[which]
+    if n_max is None or n_max <= cap:
+        return call(n_max)
+    note = f"n_max capped at {cap} (asked {n_max})"
+    return [replace(report, notes=(*report.notes, note)) for report in call(cap)]

@@ -383,6 +383,29 @@ class TestOracle:
         assert rc == 1
         assert "FAILS" in out
 
+    @pytest.mark.parametrize("which, cap", [
+        ("selections", 8), ("bipartite", 5), ("dag", 4), ("volume", 8), ("inverse-relation", 8),
+    ])
+    def test_max_past_the_cap_is_noted(self, capsys, which, cap):
+        def outputs(bound):
+            return {
+                fmt: run_cli("oracle", "--which", which, "--max", str(bound), "--format", fmt, capsys=capsys)
+                for fmt in cli.FORMATS
+            }
+
+        note = f"n_max capped at {cap} (asked {cap + 1})"
+        at_cap, past_cap = outputs(cap), outputs(cap + 1)
+        assert all(rc == 0 and err == "" for rc, _, err in (*at_cap.values(), *past_cap.values()))
+        reports = json.loads(at_cap["json"][1])
+        assert all(report["notes"] == [] and report["n_max"] == str(cap) for report in reports)
+        assert json.loads(past_cap["json"][1]) == [{**report, "notes": [note]} for report in reports]
+        plain = at_cap["plain"][1].splitlines()
+        assert past_cap["plain"][1].splitlines() == [
+            line for head in plain for line in (head, f"  note: {note}")
+        ]
+        rows = list(csv.DictReader(io.StringIO(at_cap["csv"][1])))
+        assert list(csv.DictReader(io.StringIO(past_cap["csv"][1]))) == [{**row, "notes": note} for row in rows]
+
     def test_budget_exceeded_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("TNOMIAL_MAX_BUDGET", "1")
         rc, out, err = run_cli("oracle", "--which", "selections", capsys=capsys)

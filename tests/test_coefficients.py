@@ -26,6 +26,7 @@ from tnomial.coefficients import (
     coeff_recurrence,
     coeff_route,
     coeff_symbolic,
+    inverse_rows,
     multinomial,
     set_cache_limit,
     triangle_rows,
@@ -201,6 +202,20 @@ class TestInverseRoute:
             set_cache_limit(128)
         assert built == list(range(1, 41))
         assert value != 0
+
+    def test_inverse_rows_match_entries_and_substitution(self):
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            rows = list(inverse_rows(params, 10))
+            assert rows == [[coeff_inverse(params, n, k) for k in range(n + 1)] for n in range(11)], (p, q)
+            triangle = TriMatrix(tuple(map(tuple, triangle_rows(params, 10))))
+            assert invert_triangular(triangle).rows == tuple(map(tuple, rows)), (p, q)
+            for n_max in range(10):
+                assert list(inverse_rows(params, n_max)) == rows[: n_max + 1], (p, q, n_max)
+
+    def test_inverse_rows_reject_a_negative_bound(self):
+        with pytest.raises(ValueError):
+            list(inverse_rows(params_23, -1))
 
 
 class TestRewrittenRoutesAgainstReferences:

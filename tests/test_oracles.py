@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import ast
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnomial import oracles
@@ -30,6 +31,72 @@ from tnomial.coefficients import coeff_recurrence
 from tnomial.sequences import SeqParams
 
 params_23 = SeqParams(2, 3)
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def index_loop_selections(boxes, k, repetition):
+    """The selection count as one index loop per chosen multiset or subset."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    n = boxes.n
+    if n > 8 or k > 6:
+        raise BudgetExceededError(f"selection oracle capped at n <= 8, k <= 6, got n={n}, k={k}")
+    if repetition:
+        size = comb(n + k - 1, k) if n + k >= 1 else 1
+    else:
+        size = comb(n, k)
+    oracles._check_budget(size, "selection counting")
+    chooser = combinations_with_replacement if repetition else combinations
+    total = 0
+    for indices in chooser(range(n), k):
+        ways = 1
+        for i in indices:
+            ways *= boxes.weights[i]
+        total += ways
+    return total
+
+
+def _is_acyclic(n, arcs):
+    indegree = [0] * n
+    outgoing = [[] for _ in range(n)]
+    for u, v in arcs:
+        outgoing[u].append(v)
+        indegree[v] += 1
+    stack = [v for v in range(n) if indegree[v] == 0]
+    seen = 0
+    while stack:
+        u = stack.pop()
+        seen += 1
+        for v in outgoing[u]:
+            indegree[v] -= 1
+            if indegree[v] == 0:
+                stack.append(v)
+    return seen == n
+
+
+def arc_list_acyclic_count(p_val, n):
+    """The acyclic multi-digraph count over arc lists, with a topological
+    sort as the cycle check."""
+    if p_val < 2:
+        raise ValueError("p_val must be at least 2")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > 4:
+        raise BudgetExceededError(f"acyclic-digraph oracle capped at n <= 4, got n={n}")
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    oracles._check_budget(2 ** len(pairs), "acyclic-digraph counting")
+    total = 0
+    for present in product((0, 1), repeat=len(pairs)):
+        arcs = [pair for pair, bit in zip(pairs, present) if bit]
+        if _is_acyclic(n, arcs):
+            total += (p_val - 1) ** len(arcs)
+    return total
 
 
 def fraction_matmul(a, b):
@@ -112,6 +179,13 @@ class TestSelections:
         with pytest.raises(BudgetExceededError):
             count_selections(BoxWeights.from_params(SeqParams(1, 1), 9), 2, repetition=False)
 
+    @settings(deadline=None)
+    @given(st.lists(st.sampled_from((1, 2, 3, 6, 9)), max_size=8), st.integers(0, 6), st.booleans())
+    def test_matches_index_loop(self, weights, k, repetition):
+        # few distinct weights, so equal weights in different boxes are common
+        boxes = BoxWeights(tuple(weights))
+        assert count_selections(boxes, k, repetition) == index_loop_selections(boxes, k, repetition)
+
 
 class TestBudget:
     def test_default(self, monkeypatch):
@@ -176,6 +250,29 @@ class TestAcyclicMultidigraphs:
     def test_cap(self):
         with pytest.raises(BudgetExceededError):
             count_acyclic_multidigraphs(2, 5)
+
+    def test_matches_arc_list_enumeration(self):
+        for p_val in range(2, 6):
+            for n in range(5):
+                assert count_acyclic_multidigraphs(p_val, n) == arc_list_acyclic_count(p_val, n), (p_val, n)
+
+
+@pytest.mark.parametrize("budget", ["1", "20", "100", "4096"])
+def test_errors_match_the_references_under_a_budget(monkeypatch, budget):
+    monkeypatch.setenv("TNOMIAL_MAX_BUDGET", budget)
+    for p_val in (1, 2, 3):
+        for n in range(-1, 6):
+            expected = outcome(arc_list_acyclic_count, p_val, n)
+            assert outcome(count_acyclic_multidigraphs, p_val, n) == expected, (p_val, n)
+    for n in (0, 3, 8, 9):
+        boxes = BoxWeights((2,) * n)
+        for k in range(-1, 8):
+            for repetition in (False, True):
+                expected = outcome(index_loop_selections, boxes, k, repetition)
+                assert outcome(count_selections, boxes, k, repetition) == expected, (n, k, repetition)
+    message = f"acyclic-digraph counting would enumerate 4096 objects, budget is {budget}"
+    expected = 543 if budget == "4096" else (BudgetExceededError, message)
+    assert outcome(count_acyclic_multidigraphs, 2, 4) == expected
 
 
 class TestTriMatrix:

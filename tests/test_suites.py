@@ -3,13 +3,17 @@ dispatchers must reject unknown names."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from tnomial import identities, suites
+from tnomial import coefficients, identities, oracles, suites
 from tnomial.report import IdentityReport
 from tnomial.suites import (
     IDENTITY_SUITES,
     ORACLE_SUITES,
+    dag_oracle_suite,
+    inversion_suite,
     orthogonality_suite,
     pq_grid,
     run_oracle,
@@ -90,3 +94,35 @@ def test_orthogonality_expands_each_series_once_per_n(monkeypatch):
     report = orthogonality_suite([(2, 3)], 5, 7)
     assert calls == {"expand_subset_gf": 5, "expand_multiset_gf": 5}
     assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=35)
+
+
+def count_calls(monkeypatch, function) -> list[tuple]:
+    """Wrap ``function`` at every binding in tnomial's modules; the returned
+    list collects the arguments of each call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "tnomial" or name.startswith("tnomial."):
+            for attribute, value in list(vars(module).items()):
+                if value is function:
+                    monkeypatch.setattr(module, attribute, counting)
+    return calls
+
+
+def test_inversion_reads_whole_rows(monkeypatch):
+    inverse_calls = count_calls(monkeypatch, coefficients.coeff_inverse)
+    recurrence_calls = count_calls(monkeypatch, coefficients.coeff_recurrence)
+    report = inversion_suite([(2, 3)], 8)
+    assert (len(inverse_calls), len(recurrence_calls)) == (0, 0)
+    assert report == IdentityReport("inversion", "p in [2..2], q in [3..3]", (8, 8), "holds", checked=47)
+
+
+def test_dag_oracle_counts_each_digraph_set_once(monkeypatch):
+    calls = count_calls(monkeypatch, oracles.count_acyclic_multidigraphs)
+    report = dag_oracle_suite()
+    assert sorted(calls) == [(p_val, n) for p_val in (2, 3) for n in range(5)]
+    assert report == IdentityReport("acyclic-oracle", "p in {2, 3}", (4, 4), "holds", checked=15)
