@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, exact_div
-from .sequences import SeqParams, _term_product, term_factorial
+from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
 _lock = threading.Lock()
 _numeric_rows: dict[tuple[int, int], list[list[int]]] = {}
@@ -147,6 +147,19 @@ def _next_row_dense(prev: list[list[int]]) -> list[list[int]]:
     return row
 
 
+def _dense_row(n: int) -> list[list[int]]:
+    """Row n of the symbolic triangle in dense homogeneous form; rows up to
+    the cache limit are memoized, rows past it rebuilt from the last one."""
+    with _lock:
+        rows = _symbolic_rows
+        while len(rows) - 1 < min(n, _cache_limit):
+            rows.append(_next_row_dense(rows[-1]))
+        row = rows[min(n, len(rows) - 1)]
+    while len(row) - 1 < n:
+        row = _next_row_dense(row)
+    return row
+
+
 def coeff_symbolic(n: int, k: int) -> BiPoly:
     """C(n, k) as a polynomial in Z[p, q] via the same triangle recurrence.
 
@@ -160,20 +173,39 @@ def coeff_symbolic(n: int, k: int) -> BiPoly:
     if poly is not None:
         return poly
     _check_indices(n, k)
-    with _lock:
-        rows = _symbolic_rows
-        while len(rows) - 1 < min(n, _cache_limit):
-            rows.append(_next_row_dense(rows[-1]))
-        row = rows[min(n, len(rows) - 1)]
-    while len(row) - 1 < n:
-        row = _next_row_dense(row)
-    dense = row[k]
+    dense = _dense_row(n)[k]
     degree = len(dense) - 1
     poly = BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
     if n <= _cache_limit:
         with _lock:
             _symbolic_entries[(n, k)] = poly
     return poly
+
+
+def symbolic_row(params: SeqParams, n: int) -> list[int]:
+    """Row n of the symbolic triangle at (p, q), entry k equal to
+    ``coeff_symbolic(n, k).eval(p, q)``: each dense entry, c_a at p**a * q**(d-a),
+    by homogeneous Horner acc = acc * p + c_a * q**(d-a), a = d..0."""
+    _check_indices(n, 0)
+    p, q = params.p, params.q
+    row = _dense_row(n)
+    q_powers = [q**i for i in range(max(map(len, row)))]
+    values = []
+    for dense in row:
+        acc = 0
+        for c, q_power in zip(reversed(dense), q_powers):
+            acc = acc * p + c * q_power
+        values.append(acc)
+    return values
+
+
+def _factorial_half(params: SeqParams, n: int, k: int) -> int:
+    """j = min(k, n - k), once the indices are checked and the factorial
+    ratio of entry (n, k) is known to be defined (see ``coeff_factorial``)."""
+    _check_indices(n, k)
+    if params.p + params.q == 0 and max(k, n - k) >= 2:
+        raise DivisibilityError(0, 0)
+    return min(k, n - k)
 
 
 def coeff_factorial(params: SeqParams, n: int, k: int) -> int:
@@ -187,11 +219,22 @@ def coeff_factorial(params: SeqParams, n: int, k: int) -> int:
     full ratio then divides 0 by 0 once max(k, n-k) >= 2, so the route
     raises that DivisibilityError.
     """
-    _check_indices(n, k)
-    if params.p + params.q == 0 and max(k, n - k) >= 2:
-        raise DivisibilityError(0, 0)
-    j = min(k, n - k)
+    j = _factorial_half(params, n, k)
     return exact_div(_term_product(params, n - j + 1, n + 1), term_factorial(params, j))
+
+
+def factorial_row(params: SeqParams, n: int) -> list[int]:
+    """Row n by the factorial route, entry k equal to ``coeff_factorial``: the
+    quotient of terms n-j+1..n over [j]! for j = 0..n // 2, from two running
+    products, read at j = min(k, n - k)."""
+    _factorial_half(params, n, 0)  # entry 0 raises if any entry does
+    terms = [term_closed(params, i) for i in range(n + 1)]
+    halves, top, bottom = [1], 1, 1
+    for j in range(1, n // 2 + 1):
+        top *= terms[n - j + 1]
+        bottom *= terms[j]
+        halves.append(exact_div(top, bottom))
+    return [halves[min(k, n - k)] for k in range(n + 1)]
 
 
 def coeff_product(params: SeqParams, n: int, k: int) -> int:
@@ -237,17 +280,26 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
     by the complete homogeneous recursion h(i, j) = h(i-1, j) + w_i * h(i, j-1);
     the value equals C(n + k - 1, k).
     """
+    return _complete_sums(params, n, k)[k]
+
+
+def lambda_multiset_row(params: SeqParams, n: int) -> list[int]:
+    """h_0..h_n of the n box weights: entry k equals ``coeff_lambda_multiset``."""
+    return _complete_sums(params, n, n)
+
+
+def _complete_sums(params: SeqParams, n: int, k: int) -> list[int]:
+    """h_0..h_k of the n box weights, in one pass over the boxes."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    weights = box_weights(params, n)
     h = [0] * (k + 1)
     h[0] = 1
-    for w in weights:
+    for w in box_weights(params, n):
         for j in range(1, k + 1):
             h[j] += w * h[j - 1]
-    return h[k]
+    return h
 
 
 def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
@@ -256,20 +308,31 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
     Evaluates sum over 1 <= b_1 < ... < b_k <= n of w(b_1) * ... * w(b_k)
     by the elementary recursion e(i, j) = e(i-1, j) + w_i * e(i-1, j-1);
     the value equals C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
+    """
+    return _elementary_sums(params, n, k, k)[k]
 
-    After box i only the band j in [max(1, k - (n - i)), min(i, k)] is
+
+def lambda_subset_row(params: SeqParams, n: int) -> list[int]:
+    """e_0..e_n of the n box weights: entry k equals ``coeff_lambda_subset``."""
+    return _elementary_sums(params, n, n, 0)
+
+
+def _elementary_sums(params: SeqParams, n: int, k: int, low: int) -> list[int]:
+    """e_0..e_k of the n box weights, in one pass over the boxes; only the
+    entries j >= low are final.
+
+    After box i only the band j in [max(1, low - (n - i)), min(i, k)] is
     updated: e(i, j) is still 0 above it, and below it e(i, j) can no longer
-    reach e(n, k), since each of the n - i boxes left raises j by at most 1.
+    reach e(n, low), since each of the n - i boxes left raises j by at most 1.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    weights = box_weights(params, n)
     e = [0] * (k + 1)
     e[0] = 1
-    for i, w in enumerate(weights, 1):
-        for j in range(min(i, k), max(1, k - (n - i)) - 1, -1):
+    for i, w in enumerate(box_weights(params, n), 1):
+        for j in range(min(i, k), max(1, low - (n - i)) - 1, -1):
             e[j] += w * e[j - 1]
-    return e[k]
+    return e
 
 
 def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:

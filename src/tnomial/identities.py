@@ -28,6 +28,8 @@ raises IdentityViolation on the first mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .coefficients import (
     coeff_inverse,
@@ -299,6 +301,10 @@ def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
 
 def _fibonomial_points(alpha: int, n_max: int):
     fib = [alpha_fibonacci(alpha, i) for i in range(n_max + 2)]
+    factorials = list(accumulate(fib[1 : n_max + 1], mul, initial=1))  # f(1)...f(i) at i
+
+    def coefficient(n: int, k: int) -> int:  # fibonomial(alpha, n, k), off one factorial list
+        return exact_div(factorials[n], factorials[k] * factorials[n - k])
 
     for n in range(2, n_max + 1):
         for k in range(1, n):
@@ -308,10 +314,8 @@ def _fibonomial_points(alpha: int, n_max: int):
     for n in range(1, n_max + 1):
         for k in range(1, n):
             m = n - k
-            recurrence = fib[m - 1] * fibonomial(alpha, n - 1, k - 1) + fib[k + 1] * fibonomial(
-                alpha, n - 1, k
-            )
-            yield n, k, fibonomial(alpha, n, k), recurrence
+            recurrence = fib[m - 1] * coefficient(n - 1, k - 1) + fib[k + 1] * coefficient(n - 1, k)
+            yield n, k, coefficient(n, k), recurrence
 
     u, v, one = QuadElem.root(alpha), QuadElem.conjugate_root(alpha), QuadElem.from_int(1, alpha)
     for n in range(1, n_max + 1):
@@ -319,7 +323,7 @@ def _fibonomial_points(alpha: int, n_max: int):
         series = series_product(_box_factors(one, u, v, n, n + 1), n + 1, one=one)
         for k in range(n + 1):
             # a QuadElem equals an int only when it is t-free
-            yield n, k, series[k], (-1) ** _binom2(k + 1) * fibonomial(alpha, n, k)
+            yield n, k, series[k], (-1) ** _binom2(k + 1) * coefficient(n, k)
 
 
 def gaussian_explicit(q_val: int, n: int, k: int) -> int:

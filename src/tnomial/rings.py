@@ -167,21 +167,6 @@ class BiPoly:
         """Exact evaluation at integer arguments."""
         return sum(coeff * p0**i * q0**j for (i, j), coeff in self._terms.items())
 
-    def swap_vars(self) -> BiPoly:
-        """The image under exchanging p and q."""
-        return BiPoly({(j, i): coeff for (i, j), coeff in self._terms.items()})
-
-    def total_degrees(self) -> set[int]:
-        return {i + j for i, j in self._terms}
-
-    def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = self.total_degrees()
-        if not degrees:
-            return True
-        if degree is None:
-            return len(degrees) == 1
-        return degrees == {degree}
-
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in canonical display order: lexicographic on the exponent
         pair (p-degree, q-degree), leading term first."""
@@ -305,13 +290,6 @@ class QuadElem:
     def conjugate(self) -> QuadElem:
         """Ring conjugate: swaps t and alpha - t."""
         return QuadElem(self.a + self.alpha * self.b, -self.b, self.alpha)
-
-    def norm(self) -> int:
-        """Product with the conjugate; always t-free."""
-        return self.a * self.a + self.alpha * self.a * self.b - self.b * self.b
-
-    def is_integer(self) -> bool:
-        return self.b == 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadElem):

@@ -17,13 +17,14 @@ from math import comb
 
 from .coefficients import (
     coeff_factorial,
-    coeff_lambda_multiset,
-    coeff_lambda_subset,
     coeff_partial_fractions,
     coeff_product,
     coeff_recurrence,
-    coeff_symbolic,
+    factorial_row,
     inverse_rows,
+    lambda_multiset_row,
+    lambda_subset_row,
+    symbolic_row,
     triangle_rows,
 )
 from .errors import DegenerateParametersError, IdentityViolation
@@ -98,37 +99,41 @@ def _route_points(grid, n_max):
     for p, q in grid:
         params = SeqParams(p, q)
         terms = [term_closed(params, i) for i in range(n_max + 1)]
+        # rows up to 2 * n_max: the multiset sum of (n, k) is C(n + k - 1, k)
+        rows = list(_rows(triangle_rows, params, 2 * n_max))
         for n in range(n_max + 1):
-            factorial_defined = all(terms[1 : n + 1])
-            for k in range(n + 1):
-                reference = coeff_recurrence(params, n, k)
-                if factorial_defined:
-                    yield p, q, n, k, "factorial", coeff_factorial(params, n, k), reference
+            factorial = factorial_row(params, n) if all(terms[1 : n + 1]) else None
+            subset = lambda_subset_row(params, n)
+            multiset = lambda_multiset_row(params, n) if n >= 1 else None
+            symbolic = symbolic_row(params, n)
+            for k, reference in enumerate(rows[n]):
+                if factorial is not None:
+                    yield p, q, n, k, "factorial", factorial[k], reference
                 try:
                     value = coeff_product(params, n, k)
                 except DegenerateParametersError:
                     pass
                 else:
                     yield p, q, n, k, "product", value, reference
-                subset = coeff_lambda_subset(params, n, k)
-                yield p, q, n, k, "subset", subset, reference * (p * q) ** _binom2(k)
-                if n >= 1:
-                    multiset = coeff_lambda_multiset(params, n, k)
-                    yield p, q, n, k, "multiset", multiset, coeff_recurrence(params, n + k - 1, k)
+                yield p, q, n, k, "subset", subset[k], reference * (p * q) ** _binom2(k)
+                if multiset is not None:
+                    yield p, q, n, k, "multiset", multiset[k], rows[n + k - 1][k]
                 try:
                     value = coeff_partial_fractions(params, n, k)
                 except DegenerateParametersError:
                     pass
                 else:
                     yield p, q, n, k, "partial-fractions", value, reference
-                yield p, q, n, k, "symbolic", coeff_symbolic(n, k).eval(p, q), reference
+                yield p, q, n, k, "symbolic", symbolic[k], reference
 
 
 def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> IdentityReport:
     """Agreement of every numeric coefficient route with the recurrence.
 
-    Per-route preconditions: the factorial ratio needs all terms up to n
-    nonzero; the product and partial-fraction routes need non-coincident
+    The factorial, subset, multiset and symbolic routes are read as whole
+    rows, one per (p, q, n); the product and partial-fraction routes entry
+    by entry.  Per-route preconditions: the factorial ratio needs all terms
+    up to n nonzero; the product and partial-fraction routes need non-coincident
     denominators/nodes and are skipped where degenerate.  The subset sum
     is compared multiplicatively as subset = C(n, k) * (pq)**C(k,2), the
     multiset sum as C(n + k - 1, k), and the symbolic polynomial through
@@ -389,9 +394,12 @@ def _dag_points(n_max):
 
 def dag_oracle_suite(n_max: int = 4) -> IdentityReport:
     """Brute-force acyclic multi-digraph counts: frozen values for
-    multiplicity bound 2, and recurrence agreement for bounds 2 and 3."""
-    n_max = min(n_max, 4)
-    return sweep("acyclic-oracle", "p in {2, 3}", (n_max, n_max), ("p", "n"), _dag_points(n_max))
+    multiplicity bound 2, and recurrence agreement for bounds 2 and 3.
+    A larger ``n_max`` is capped at the last frozen count, with a note."""
+    cap = len(ACYCLIC_BASE_COUNTS) - 1
+    notes = [f"n_max capped at {cap} (asked {n_max})"] if n_max > cap else []
+    n_max = min(n_max, cap)
+    return sweep("acyclic-oracle", "p in {2, 3}", (n_max, n_max), ("p", "n"), _dag_points(n_max), notes)
 
 
 def _volume_points(hi, n_max):

@@ -26,9 +26,13 @@ from tnomial.coefficients import (
     coeff_recurrence,
     coeff_route,
     coeff_symbolic,
+    factorial_row,
     inverse_rows,
+    lambda_multiset_row,
+    lambda_subset_row,
     multinomial,
     set_cache_limit,
+    symbolic_row,
     triangle_rows,
 )
 from tnomial.errors import DegenerateParametersError, DivisibilityError
@@ -375,13 +379,13 @@ class TestStructuralIdentities:
     def test_parameter_swap_symbolic(self):
         for n in range(9):
             for k in range(n + 1):
-                poly = coeff_symbolic(n, k)
-                assert poly.swap_vars() == poly
+                terms = coeff_symbolic(n, k).terms
+                assert {(j, i): c for (i, j), c in terms.items()} == terms
 
     def test_homogeneity_degree(self):
         for n in range(9):
             for k in range(n + 1):
-                assert coeff_symbolic(n, k).is_homogeneous(k * (n - k))
+                assert {i + j for i, j in coeff_symbolic(n, k).terms} == {k * (n - k)}
 
     def test_subset_of_subset_rule(self):
         for p in range(-2, 4):
@@ -663,3 +667,53 @@ class TestErrorsAndCache:
             multinomial(params_23, 3, (2, 2))
         with pytest.raises(ValueError):
             multinomial(params_23, 3, (-1, 2))
+
+
+def _outcome(call, *args):
+    """What a call returns, or the type and arguments of what it raises."""
+    try:
+        return call(*args)
+    except Exception as error:
+        return type(error), error.args
+
+
+ROW_FORMS = {  # route: (row form, point form of one entry)
+    "subset": (lambda_subset_row, coeff_lambda_subset),
+    "multiset": (lambda_multiset_row, coeff_lambda_multiset),
+    "factorial": (factorial_row, coeff_factorial),
+    "symbolic": (symbolic_row, lambda params, n, k: coeff_symbolic(n, k).eval(params.p, params.q)),
+}
+
+
+class TestRowForms:
+    @pytest.mark.parametrize("route", sorted(ROW_FORMS))
+    def test_row_form_equals_point_form(self, route):
+        # entry by entry where every entry is defined; where some entry of a
+        # row raises, the row raises what the first such entry raises
+        row_of, point_of = ROW_FORMS[route]
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(-1, 15):
+                points = [_outcome(point_of, params, n, k) for k in range(max(n, 0) + 1)]
+                errors = [point for point in points if isinstance(point, tuple)]
+                assert _outcome(row_of, params, n) == (errors[0] if errors else points), (p, q, n)
+
+    def test_rows_that_raise(self):
+        zero_by_zero = (DivisibilityError, ("0 is not exactly divisible by 0",))
+        assert _outcome(factorial_row, SeqParams(-1, 1), 2) == zero_by_zero
+        assert factorial_row(SeqParams(-1, 1), 1) == [1, 1]
+        assert _outcome(lambda_multiset_row, params_23, 0) == (ValueError, ("n must be positive",))
+        assert lambda_subset_row(params_23, 0) == [1]
+
+    def test_symbolic_row_past_the_cache_limit(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
+        monkeypatch.setattr(coefficients, "_symbolic_entries", {})
+        set_cache_limit(3)
+        try:
+            for p, q in ((2, 3), (0, 5), (-2, 0), (0, 0)):
+                for n in range(10):
+                    expected = [coeff_symbolic(n, k).eval(p, q) for k in range(n + 1)]
+                    assert symbolic_row(SeqParams(p, q), n) == expected
+            assert len(coefficients._symbolic_rows) == 4
+        finally:
+            set_cache_limit(128)

@@ -4,6 +4,7 @@ dispatchers must reject unknown names."""
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import pytest
 
@@ -13,9 +14,11 @@ from tnomial.suites import (
     IDENTITY_SUITES,
     ORACLE_SUITES,
     dag_oracle_suite,
+    fibonomial_reports,
     inversion_suite,
     orthogonality_suite,
     pq_grid,
+    routes_suite,
     run_oracle,
     run_verify,
     sample_grid,
@@ -126,3 +129,65 @@ def test_dag_oracle_counts_each_digraph_set_once(monkeypatch):
     report = dag_oracle_suite()
     assert sorted(calls) == [(p_val, n) for p_val in (2, 3) for n in range(5)]
     assert report == IdentityReport("acyclic-oracle", "p in {2, 3}", (4, 4), "holds", checked=15)
+
+
+def test_dag_oracle_notes_its_cap():
+    note = "n_max capped at 4 (asked 9)"
+    assert dag_oracle_suite(9) == IdentityReport(
+        "acyclic-oracle", "p in {2, 3}", (4, 4), "holds", notes=(note,), checked=15
+    )
+    assert dag_oracle_suite(4).notes == ()
+    assert [report.notes for report in run_oracle("dag", 9)] == [(note,)]
+
+
+def test_routes_read_one_row_per_route_and_n(monkeypatch):
+    weights_calls = count_calls(monkeypatch, coefficients.box_weights)
+    point_calls = [
+        count_calls(monkeypatch, function)
+        for function in (
+            coefficients.coeff_lambda_subset,
+            coefficients.coeff_lambda_multiset,
+            coefficients.coeff_factorial,
+            coefficients.coeff_symbolic,
+        )
+    ]
+    report = routes_suite()
+    per_row = Counter((params.p, params.q, n) for params, n in weights_calls)
+    assert max(per_row.values()) == 2
+    assert len(per_row) == 49 * 13  # every (p, q, n), n = 0 by the subset route alone
+    assert [len(calls) for calls in point_calls] == [0, 0, 0, 0]
+    assert report == IdentityReport(
+        "route-agreement", "p in [-2..4], q in [-2..4]", (12, 12), "holds", checked=24308
+    )
+
+
+@pytest.mark.parametrize(
+    "route, row_form, where",
+    [
+        ("subset", "lambda_subset_row", (2, -1, 5, 3)),
+        ("multiset", "lambda_multiset_row", (3, 4, 7, 0)),
+        ("factorial", "factorial_row", (-2, 3, 12, 12)),
+        ("symbolic", "symbolic_row", (0, 2, 9, 4)),
+    ],
+)
+def test_routes_compare_every_row_entry(monkeypatch, route, row_form, where):
+    original = getattr(coefficients, row_form)
+
+    def off_by_one(params, n):
+        row = list(original(params, n))
+        if (params.p, params.q, n) == where[:3]:
+            row[where[3]] += 1
+        return row
+
+    monkeypatch.setattr(suites, row_form, off_by_one)
+    report = routes_suite()
+    assert report.status == "fails"
+    location = {key: report.first_counterexample[key] for key in ("p", "q", "n", "k", "route")}
+    assert location == dict(zip(("p", "q", "n", "k"), where), route=route)
+
+
+def test_fibonomial_suite_builds_its_factorials_once(monkeypatch):
+    calls = count_calls(monkeypatch, identities.fibonomial)
+    reports = fibonomial_reports()
+    assert calls == []
+    assert [(report.status, report.checked) for report in reports] == [("holds", 155)] * 2
