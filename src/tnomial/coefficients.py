@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, exact_div
@@ -265,6 +265,29 @@ def coeff_product(params: SeqParams, n: int, k: int) -> int:
     return quotient
 
 
+def product_row(params: SeqParams, n: int) -> list[int]:
+    """Row n by the product route, entry k equal to ``coeff_product``, from one
+    running numerator and denominator and one division per k.  The row stops
+    before the first k whose factor p**k - q**k vanishes, where the entry
+    raises DegenerateParametersError."""
+    _check_indices(n, 0)
+    p, q = params.p, params.q
+    if p == q:
+        return [comb(n, k) * p ** (k * (n - k)) for k in range(n + 1)]
+    row, numerator, denominator = [1], 1, 1
+    for k in range(1, n + 1):
+        factor = p**k - q**k
+        if factor == 0:
+            break
+        numerator *= p ** (n - k + 1) - q ** (n - k + 1)
+        denominator *= factor
+        quotient, remainder = divmod(numerator, denominator)
+        if remainder:
+            raise DivisibilityError(*Fraction(numerator, denominator).as_integer_ratio())
+        row.append(quotient)
+    return row
+
+
 def box_weights(params: SeqParams, n: int) -> list[int]:
     """The n box weights q**(i-1) * p**(n-i) for i = 1..n."""
     if n < 0:
@@ -351,6 +374,13 @@ def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:
     (p*q)**s, s = max(-e), every power is integral, negative n included, so
     the integer numerator is summed over one denominator D(k) (p*q)**s.
     """
+    return partial_fraction_column(params, k, [n])[0]
+
+
+def partial_fraction_column(params: SeqParams, k: int, ns: Iterable[int]) -> list[Fraction]:
+    """``coeff_partial_fractions(params, n, k)`` for each n in ``ns``: the node
+    check, D(0..k) and the k + 1 quotients D(k) / (D(i) D(k-i)) depend only on
+    (p, q, k) and are built once for the whole column."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     p, q = params.p, params.q
@@ -359,18 +389,19 @@ def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:
     nodes = [q**s * p ** (k - s) for s in range(k + 1)]
     if len(set(nodes)) != len(nodes):
         raise DegenerateParametersError(f"coincident nodes {nodes} for p={p}, q={q}, k={k}")
-    if n < 0 and any(node == 0 for node in nodes):
-        raise DegenerateParametersError("negative power of a zero node")
     diffs = [1]  # D(0..k), nonzero since the nodes are distinct
     for d in range(1, k + 1):
         diffs.append(diffs[-1] * (q**d - p**d))
-    e = [j * (n - k) + j * (j + 1) // 2 for j in range(k + 1)]
-    shift = -min(e)
-    numerator = sum(
-        (-1) ** (k - i) * q ** (e[i] + shift) * p ** (e[k - i] + shift) * (diffs[k] // (diffs[i] * diffs[k - i]))
-        for i in range(k + 1)
-    )
-    return Fraction(numerator, diffs[k] * (p * q) ** shift)
+    quotients = [(-1) ** (k - i) * (diffs[k] // (diffs[i] * diffs[k - i])) for i in range(k + 1)]
+    column = []
+    for n in ns:
+        if n < 0 and 0 in nodes:
+            raise DegenerateParametersError("negative power of a zero node")
+        e = [j * (n - k) + j * (j + 1) // 2 for j in range(k + 1)]
+        shift = -min(e)
+        numerator = sum(c * q ** (e[i] + shift) * p ** (e[k - i] + shift) for i, c in enumerate(quotients))
+        column.append(Fraction(numerator, diffs[k] * (p * q) ** shift))
+    return column
 
 
 def multinomial(params: SeqParams, n: int, parts: tuple[int, ...]) -> int:

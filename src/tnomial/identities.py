@@ -28,6 +28,7 @@ raises IdentityViolation on the first mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from operator import mul
 
@@ -36,6 +37,7 @@ from .coefficients import (
     coeff_partial_fractions,
     coeff_recurrence,
     coeff_symbolic,
+    triangle_rows,
 )
 from .errors import DegenerateParametersError, IdentityViolation
 from .report import IdentityReport, make_report, sweep
@@ -52,25 +54,25 @@ def _ring(params: SeqParams | None) -> tuple:
     ``params=None``, else Z at (p, q) with the recurrence coefficients."""
     if params is None:
         return BiPoly.one(), BiPoly.var_p(), BiPoly.var_q(), coeff_symbolic
-    return 1, params.p, params.q, lambda n, k: coeff_recurrence(params, n, k)
+    return 1, params.p, params.q, partial(coeff_recurrence, params)
 
 
 def _box_weights(p, q, n: int) -> list:
     return [q ** (i - 1) * p ** (n - i) for i in range(1, n + 1)]
 
 
-def _box_factors(one, p, q, n: int, order: int) -> list[XSeries]:
+def _box_factors(one, p, q, n: int) -> list[tuple]:
     """The factors 1 - q**(i-1) p**(n-i) x, i = 1..n, of the subset product."""
-    return [XSeries([one, -w], order, zero=one * 0) for w in _box_weights(p, q, n)]
+    return [(one, -w) for w in _box_weights(p, q, n)]
 
 
 def _checked(identity: str, n: int, series: XSeries, expected) -> XSeries:
     """Compare coefficient k of the series with ``expected(k)``, raising
     IdentityViolation at the first mismatch."""
-    for k in range(series.order):
+    for k, lhs in enumerate(series.coefficients):
         rhs = expected(k)
-        if series[k] != rhs:
-            raise IdentityViolation(identity, (n, k), series[k], rhs)
+        if lhs != rhs:
+            raise IdentityViolation(identity, (n, k), lhs, rhs)
     return series
 
 
@@ -90,7 +92,7 @@ def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None 
     def expected(k):
         return (-1) ** k * (p * q) ** _binom2(k) * coeff(n, k) if k <= n else one * 0
 
-    return _checked("subset-gf", n, series_product(_box_factors(one, p, q, n, order), order, one), expected)
+    return _checked("subset-gf", n, series_product(_box_factors(one, p, q, n), order, one), expected)
 
 
 def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> XSeries:
@@ -118,7 +120,7 @@ def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None =
     if order is None:
         order = n + 1
     one, p, q, coeff = _ring(params)
-    factors = [XSeries([p ** (i - 1), -(q ** (i - 1))], order, zero=one * 0) for i in range(1, n + 1)]
+    factors = [(p ** (i - 1), -(q ** (i - 1))) for i in range(1, n + 1)]
 
     def expected(k):
         return (-1) ** k * q ** _binom2(k) * p ** _binom2(n - k) * coeff(n, k) if k <= n else one * 0
@@ -147,9 +149,9 @@ def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = No
     order = n + 1
     one, p, q, coeff = _ring(params)
     if form == "y_weights":
-        factors = [XSeries([w, one], order, zero=one * 0) for w in _box_weights(p, q, n)]
+        factors = [(w, one) for w in _box_weights(p, q, n)]
     else:
-        factors = [XSeries([q**i, p**i], order, zero=one * 0) for i in range(n)]
+        factors = [(q**i, p**i) for i in range(n)]
     series = series_product(factors, order, one=one)
     for k in range(n + 1):
         # x**(n-k) coefficient, i.e. the y**k slot of the homogeneous expansion
@@ -175,31 +177,26 @@ def orthogonality(params: SeqParams, n: int, s: int) -> bool:
         raise ValueError("n and s must be positive")
     subset = expand_subset_gf(n, params, s + 1)
     multiset = expand_multiset_gf(n, s + 1, params)
-    return _orthogonal_at(params, n, s, subset, multiset)
+    return _orthogonal_at(params, n, s, subset, multiset, list(triangle_rows(params, n + s - 1)))
 
 
-def _orthogonal_at(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries) -> bool:
+def _orthogonal_at(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries, rows: list) -> bool:
     """The checks of ``orthogonality`` at s, on the subset and multiset
-    series of n already expanded to an order above s."""
+    series of n already expanded to an order above s, reading C from
+    ``rows``, rows 0..n+s-1 or more of the triangle."""
     p, q = params.p, params.q
     direct = sum(
-        (-1) ** k
-        * (p * q) ** _binom2(k)
-        * coeff_recurrence(params, n, k)
-        * coeff_recurrence(params, n + s - k - 1, n - 1)
+        (-1) ** k * (p * q) ** _binom2(k) * rows[n][k] * rows[n + s - k - 1][n - 1]
         for k in range(min(n, s) + 1)  # C(n, k) = 0 for k > n
     )
     ok = direct == 0
     # Coefficients 0 and s of the series product, without forming the rest.
-    ok = ok and subset[0] * multiset[0] == 1
-    ok = ok and sum(subset[i] * multiset[s - i] for i in range(s + 1)) == 0
+    a, b = subset.coefficients, multiset.coefficients
+    ok = ok and a[0] * b[0] == 1
+    ok = ok and sum(map(mul, a[: s + 1], b[s::-1])) == 0
     if s == n:
         reversed_form = sum(
-            coeff_recurrence(params, n + k - 1, k)
-            * (-1) ** (n - k)
-            * (p * q) ** _binom2(n - k)
-            * coeff_recurrence(params, n, k)
-            for k in range(n + 1)
+            rows[n + k - 1][k] * (-1) ** (n - k) * (p * q) ** _binom2(n - k) * rows[n][k] for k in range(n + 1)
         )
         ok = ok and reversed_form == 0
     return ok
@@ -215,16 +212,18 @@ def vandermonde_terms(params: SeqParams, n: int, m: int, k: int) -> tuple[int, i
     """
     if n < 0 or m < 0 or k < 0 or k > n + m:
         raise ValueError("need 0 <= k <= n + m")
+    return _vandermonde_at(params, n, m, k, list(triangle_rows(params, n + m)))
+
+
+def _vandermonde_at(params: SeqParams, n: int, m: int, k: int, rows: list) -> tuple[int, int, int]:
+    """``vandermonde_terms`` reading C from ``rows``, rows 0..n+m or more of
+    the triangle."""
     p, q = params.p, params.q
-    lhs = coeff_recurrence(params, n + m, k)
+    lhs = rows[n + m][k]
     rhs_proof = 0
     rhs_plain = 0
     for s in range(max(0, k - m), min(k, n) + 1):
-        base = (
-            coeff_recurrence(params, n, s)
-            * coeff_recurrence(params, m, k - s)
-            * q ** ((n - s) * (k - s))
-        )
+        base = rows[n][s] * rows[m][k - s] * q ** ((n - s) * (k - s))
         rhs_proof += p ** ((m + s - k) * s) * base
         rhs_plain += p ** (m + s - k) * base
     return lhs, rhs_proof, rhs_plain
@@ -320,7 +319,7 @@ def _fibonomial_points(alpha: int, n_max: int):
     u, v, one = QuadElem.root(alpha), QuadElem.conjugate_root(alpha), QuadElem.from_int(1, alpha)
     for n in range(1, n_max + 1):
         # the subset product at (p, q) = (u, v) = (t, alpha - t)
-        series = series_product(_box_factors(one, u, v, n, n + 1), n + 1, one=one)
+        series = series_product(_box_factors(one, u, v, n), n + 1, one=one)
         for k in range(n + 1):
             # a QuadElem equals an int only when it is t-free
             yield n, k, series[k], (-1) ** _binom2(k + 1) * coefficient(n, k)
@@ -378,8 +377,7 @@ def gaussian_basis_check(q_val: int, n: int) -> bool:
     order = n + 1
 
     def phi(k: int) -> XSeries:
-        factors = [XSeries([-(q_val**s), 1], order, zero=0) for s in range(k)]
-        return series_product(factors, order, one=1)
+        return series_product([(-(q_val**s), 1) for s in range(k)], order, one=1)
 
     phi_n = phi(n)
     for j in range(n + 1):

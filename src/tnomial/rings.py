@@ -416,29 +416,28 @@ def geometric_series(lam, order: int) -> XSeries:
     return XSeries(coeffs, order, zero=one * 0)
 
 
-def series_product(factors: Iterable[XSeries], order: int, one=1, reciprocals: Iterable = ()) -> XSeries:
-    """Product of the series factors and of 1/(1 - w*x) for each w in
-    ``reciprocals``, truncated at ``order``; the empty product is one.
+def series_product(factors: Iterable[tuple], order: int, one=1, reciprocals: Iterable = ()) -> XSeries:
+    """Product of the linear factors a + b*x, each given as the pair (a, b),
+    and of 1/(1 - w*x) for each w in ``reciprocals``, truncated at ``order``;
+    the empty product is one.
 
-    Each factor is applied in place to one list, through its nonzero
-    coefficients only, so a two-term factor costs O(order); each reciprocal
-    is one ascending pass acc[k] += w * acc[k-1], never a geometric series.
+    Each factor is one descending pass acc[k] = a*acc[k] + b*acc[k-1] over
+    one coefficient list, up to the product's current degree, so it costs
+    O(order); each reciprocal is one ascending pass acc[k] += w * acc[k-1],
+    never a geometric series.
     """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     zero = one * 0
     acc = [one, *[zero] * (order - 1)][:order]
     top = 0  # acc[k] is zero for every k > top
-    for factor in factors:
-        del acc[factor.order :]
-        terms = [(d, c) for d, c in enumerate(factor.coefficients) if c != zero]
-        top = min(len(acc) - 1, top + (terms[-1][0] if terms else 0))
-        for k in range(top, -1, -1):  # descending: acc[k - d] is still the old value
-            total = zero
-            for d, c in terms:
-                if d > k:
-                    break
-                total = total + c * acc[k - d]
-            acc[k] = total
+    for a, b in factors:
+        top = min(top + 1, order - 1)
+        for k in range(top, 0, -1):  # descending: acc[k - 1] is still the old value
+            acc[k] = a * acc[k] + b * acc[k - 1]
+        if order:
+            acc[0] = a * acc[0]
     for w in reciprocals:
-        for k in range(1, len(acc)):
+        for k in range(1, order):
             acc[k] = acc[k] + w * acc[k - 1]
-    return XSeries(acc, len(acc), zero=zero)
+    return XSeries(acc, order, zero=zero)

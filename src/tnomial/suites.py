@@ -18,12 +18,13 @@ from math import comb
 from .coefficients import (
     coeff_factorial,
     coeff_partial_fractions,
-    coeff_product,
     coeff_recurrence,
     factorial_row,
     inverse_rows,
     lambda_multiset_row,
     lambda_subset_row,
+    partial_fraction_column,
+    product_row,
     symbolic_row,
     triangle_rows,
 )
@@ -31,6 +32,7 @@ from .errors import DegenerateParametersError, IdentityViolation
 from .identities import (
     _binom2,
     _orthogonal_at,
+    _vandermonde_at,
     binomial_like,
     equal1_check,
     expand_multiset_gf,
@@ -40,7 +42,6 @@ from .identities import (
     gaussian_basis_check,
     gaussian_explicit,
     gaussian_inverse_entry,
-    vandermonde_terms,
 )
 from .oracles import (
     BoxWeights,
@@ -101,39 +102,43 @@ def _route_points(grid, n_max):
         terms = [term_closed(params, i) for i in range(n_max + 1)]
         # rows up to 2 * n_max: the multiset sum of (n, k) is C(n + k - 1, k)
         rows = list(_rows(triangle_rows, params, 2 * n_max))
+        columns = [_partial_fraction_column(params, k, n_max) for k in range(n_max + 1)]
         for n in range(n_max + 1):
             factorial = factorial_row(params, n) if all(terms[1 : n + 1]) else None
+            product = product_row(params, n)
             subset = lambda_subset_row(params, n)
             multiset = lambda_multiset_row(params, n) if n >= 1 else None
             symbolic = symbolic_row(params, n)
             for k, reference in enumerate(rows[n]):
                 if factorial is not None:
                     yield p, q, n, k, "factorial", factorial[k], reference
-                try:
-                    value = coeff_product(params, n, k)
-                except DegenerateParametersError:
-                    pass
-                else:
-                    yield p, q, n, k, "product", value, reference
+                if k < len(product):
+                    yield p, q, n, k, "product", product[k], reference
                 yield p, q, n, k, "subset", subset[k], reference * (p * q) ** _binom2(k)
                 if multiset is not None:
                     yield p, q, n, k, "multiset", multiset[k], rows[n + k - 1][k]
-                try:
-                    value = coeff_partial_fractions(params, n, k)
-                except DegenerateParametersError:
-                    pass
-                else:
-                    yield p, q, n, k, "partial-fractions", value, reference
+                if columns[k] is not None:
+                    yield p, q, n, k, "partial-fractions", columns[k][n - k], reference
                 yield p, q, n, k, "symbolic", symbolic[k], reference
+
+
+def _partial_fraction_column(params, k, n_max):
+    """Entries (k, k)..(n_max, k) by partial fractions, or None where the
+    route is undefined for every n >= 0 (p == q or coincident nodes)."""
+    try:
+        return partial_fraction_column(params, k, range(k, n_max + 1))
+    except DegenerateParametersError:
+        return None
 
 
 def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> IdentityReport:
     """Agreement of every numeric coefficient route with the recurrence.
 
-    The factorial, subset, multiset and symbolic routes are read as whole
-    rows, one per (p, q, n); the product and partial-fraction routes entry
-    by entry.  Per-route preconditions: the factorial ratio needs all terms
-    up to n nonzero; the product and partial-fraction routes need non-coincident
+    Every route is read whole, never entry by entry: the factorial,
+    product, subset, multiset and symbolic routes as one row per (p, q, n),
+    the partial-fraction route as one column per (p, q, k).  Per-route
+    preconditions: the factorial ratio needs all terms up to n nonzero; the
+    product and partial-fraction routes need non-coincident
     denominators/nodes and are skipped where degenerate.  The subset sum
     is compared multiplicatively as subset = C(n, k) * (pq)**C(k,2), the
     multiset sum as C(n + k - 1, k), and the symbolic polynomial through
@@ -186,6 +191,7 @@ def _orthogonality_points(grid, n_max, s_max):
         return
     for p, q in grid:
         params = SeqParams(p, q)
+        rows = list(_rows(triangle_rows, params, n_max + s_max - 1))
         for n in range(1, n_max + 1):
             # Both series of n once, to the highest order any s reads; a
             # violation in either is one failing point at its location.
@@ -195,7 +201,7 @@ def _orthogonality_points(grid, n_max, s_max):
                 if where is not None:
                     yield p, q, n, where, lhs, rhs
             for s in range(1, s_max + 1):
-                yield p, q, n, s, _orthogonal_at(params, n, s, subset[1], multiset[1]), True
+                yield p, q, n, s, _orthogonal_at(params, n, s, subset[1], multiset[1], rows), True
 
 
 def orthogonality_suite(
@@ -211,10 +217,11 @@ def _vandermonde_points(grid, nm_max, notes):
     interior_found = False
     for p, q in grid:
         params = SeqParams(p, q)
+        rows = list(_rows(triangle_rows, params, 2 * nm_max))
         for n in range(nm_max + 1):
             for m in range(nm_max + 1):
                 for k in range(n + m + 1):
-                    lhs, rhs_proof, rhs_plain = vandermonde_terms(params, n, m, k)
+                    lhs, rhs_proof, rhs_plain = _vandermonde_at(params, n, m, k, rows)
                     yield p, q, n, m, k, lhs, rhs_proof
                     if rhs_plain != lhs:
                         interior = min(n, m, k) >= 1

@@ -31,6 +31,8 @@ from tnomial.coefficients import (
     lambda_multiset_row,
     lambda_subset_row,
     multinomial,
+    partial_fraction_column,
+    product_row,
     set_cache_limit,
     symbolic_row,
     triangle_rows,
@@ -697,6 +699,36 @@ class TestRowForms:
                 points = [_outcome(point_of, params, n, k) for k in range(max(n, 0) + 1)]
                 errors = [point for point in points if isinstance(point, tuple)]
                 assert _outcome(row_of, params, n) == (errors[0] if errors else points), (p, q, n)
+
+    def test_product_row_stops_where_the_point_form_raises(self):
+        # entry by entry up to the first k with p**k == q**k; the point form
+        # raises DegenerateParametersError there and at every k past it
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(-1, 15):
+                points = [_outcome(coeff_product, params, n, k) for k in range(max(n, 0) + 1)]
+                row = _outcome(product_row, params, n)
+                if n < 0:
+                    assert row == points[0]
+                    continue
+                stop = next((k for k in range(1, n + 1) if p != q and p**k == q**k), n + 1)
+                assert row == points[:stop], (p, q, n)
+                assert all(point[0] is DegenerateParametersError for point in points[stop:]), (p, q, n)
+        assert product_row(SeqParams(2, -2), 5) == [1, coeff_product(SeqParams(2, -2), 5, 1)]
+        assert product_row(SeqParams(-1, -1), 4) == [comb(4, k) * (-1) ** (k * (4 - k)) for k in range(5)]
+
+    def test_partial_fraction_column_equals_point_form(self):
+        # entry by entry, n < k and negative n included; where some entry of
+        # a column raises, the column raises what the first such entry raises
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for k in range(-1, 13):
+                for ns in (range(-3, 15), range(15), [k, 0, 14, -1]):
+                    points = [_outcome(coeff_partial_fractions, params, n, k) for n in ns]
+                    errors = [point for point in points if isinstance(point, tuple)]
+                    expected = errors[0] if errors else points
+                    assert _outcome(partial_fraction_column, params, k, ns) == expected, (p, q, k, ns)
+        assert partial_fraction_column(params_23, 3, []) == []
 
     def test_rows_that_raise(self):
         zero_by_zero = (DivisibilityError, ("0 is not exactly divisible by 0",))

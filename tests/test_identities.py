@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tnomial import identities
-from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coeff_symbolic
+from tnomial import identities, suites
+from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coeff_symbolic, triangle_rows
 from tnomial.errors import DegenerateParametersError, IdentityViolation
 from tnomial.identities import (
     _orthogonal_at,
@@ -51,6 +51,12 @@ class TestProductExpansions:
         assert coeffs[0] == BiPoly.one()
         assert coeffs[1] == -(p + q)
         assert coeffs[2] == p * q
+
+    def test_negative_order_raises(self):
+        # no series is built per factor, so the product itself must refuse
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="order must be nonnegative"):
+                expand_subset_gf(n, params_23, -2)
 
     def test_expansions_run_over_grid(self):
         for p in range(-2, 5):
@@ -183,18 +189,95 @@ class TestOrthogonality:
                     assert dot == (subset * multiset)[s], (p, q, n, s)
 
     def test_equals_the_check_on_series_expanded_once(self):
-        # the orthogonality suite expands each n's series once, to order 9
+        # the orthogonality suite expands each n's series once, to order 9,
+        # and reads rows 0..15 of the triangle once per pair
         for p, q in pq_grid():
             params = SeqParams(p, q)
+            rows = list(triangle_rows(params, 15))
             for n in range(1, 9):
                 subset = expand_subset_gf(n, params, 9)
                 multiset = expand_multiset_gf(n, 9, params)
                 for s in range(1, 9):
-                    expected = _orthogonal_at(params, n, s, subset, multiset)
+                    expected = _orthogonal_at(params, n, s, subset, multiset, rows)
                     assert orthogonality(params, n, s) is expected, (p, q, n, s)
+
+    def test_row_reading_equals_the_point_wise_form(self):
+        # On the true triangle and on triangles with one entry off by one, the
+        # check on rows reads the entries the point-wise check reads.
+        refuted = 0
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            rows = list(triangle_rows(params, 15))
+            series = {n: (expand_subset_gf(n, params, 9), expand_multiset_gf(n, 9, params)) for n in range(1, 9)}
+            for corrupt in (None, (3, 1), (5, 2), (7, 0), (8, 4), (9, 3), (11, 5)):
+                corrupted = [list(row) for row in rows]
+                if corrupt is not None:
+                    corrupted[corrupt[0]][corrupt[1]] += 1
+                for n in range(1, 9):
+                    for s in range(1, 9):
+                        got = _orthogonal_at(params, n, s, *series[n], corrupted)
+                        reference = _point_wise_orthogonal_at(params, n, s, *series[n], corrupted)
+                        assert got is reference, (p, q, corrupt, n, s)
+                        refuted += not got
+        assert refuted > 1000
+
+
+def _point_wise_orthogonal_at(params, n, s, subset, multiset, rows):
+    """The orthogonality checks at s as written entry by entry, with one
+    single-entry read ``coeff(n, k)`` per C(n, k) where the form before
+    row reading called ``coeff_recurrence``; the entries come from ``rows``
+    so that a corrupted triangle reaches both forms."""
+
+    def coeff(n, k):
+        return rows[n][k]
+
+    p, q = params.p, params.q
+    direct = sum(
+        (-1) ** k * (p * q) ** ((k * (k - 1)) // 2) * coeff(n, k) * coeff(n + s - k - 1, n - 1)
+        for k in range(min(n, s) + 1)
+    )
+    ok = direct == 0 and subset[0] * multiset[0] == 1
+    ok = ok and sum(subset[i] * multiset[s - i] for i in range(s + 1)) == 0
+    if s == n:
+        reversed_form = sum(
+            coeff(n + k - 1, k) * (-1) ** (n - k) * (p * q) ** (((n - k) * (n - k - 1)) // 2) * coeff(n, k)
+            for k in range(n + 1)
+        )
+        ok = ok and reversed_form == 0
+    return ok
+
+
+def _point_wise_vandermonde_terms(params, n, m, k):
+    """``vandermonde_terms`` from single ``coeff_recurrence`` entries."""
+    p, q = params.p, params.q
+    rhs_proof = rhs_plain = 0
+    for s in range(max(0, k - m), min(k, n) + 1):
+        base = coeff_recurrence(params, n, s) * coeff_recurrence(params, m, k - s) * q ** ((n - s) * (k - s))
+        rhs_proof += p ** ((m + s - k) * s) * base
+        rhs_plain += p ** (m + s - k) * base
+    return coeff_recurrence(params, n + m, k), rhs_proof, rhs_plain
 
 
 class TestVandermonde:
+    def test_row_reading_equals_the_point_wise_form(self):
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(6):
+                for m in range(6):
+                    for k in range(n + m + 1):
+                        reference = _point_wise_vandermonde_terms(params, n, m, k)
+                        assert vandermonde_terms(params, n, m, k) == reference, (p, q, n, m, k)
+            notes = []
+            points = list(suites._vandermonde_points([(p, q)], 5, notes))
+            reference = [
+                (p, q, n, m, k, lhs, rhs_proof)
+                for n in range(6)
+                for m in range(6)
+                for k in range(n + m + 1)
+                for lhs, rhs_proof, _ in [_point_wise_vandermonde_terms(params, n, m, k)]
+            ]
+            assert points == reference, (p, q)
+
     def test_frozen_resolution(self):
         assert vandermonde_terms(params_23, 2, 2, 2) == (247, 247, 235)
 

@@ -234,9 +234,9 @@ class TestXSeries:
 
 @st.composite
 def ring_products(draw):
-    """A ring's ``one``, a truncation order 0..12, factors of every shape
-    (two-term, dense, all-zero, zero constant term) in that ring, some of
-    lower order, and weights for reciprocal factors."""
+    """A ring's ``one``, a truncation order 0..12, linear factors a + b x as
+    pairs (a, b) in that ring, zero coefficients included, and weights for
+    reciprocal factors."""
     ring = draw(st.sampled_from(("int", "BiPoly", "QuadElem")))
     if ring == "int":
         one, elements = 1, small
@@ -246,20 +246,9 @@ def ring_products(draw):
         alpha = draw(st.integers(1, 3))
         one = QuadElem.from_int(1, alpha)
         elements = st.builds(lambda a, b: QuadElem(a, b, alpha), small, small)
-    zero = one * 0
+    coefficients = st.one_of(elements, st.just(one * 0), st.just(one))
     order = draw(st.integers(0, 12))
-    factors = []
-    for shape in draw(st.lists(st.sampled_from(("two-term", "dense", "zero", "no-constant")), max_size=5)):
-        if shape == "two-term":
-            coeffs = [draw(elements), *[zero] * draw(st.integers(0, 3)), draw(elements)]
-        elif shape == "dense":
-            coeffs = draw(st.lists(elements, min_size=1, max_size=order + 1))
-        elif shape == "zero":
-            coeffs = [zero] * draw(st.integers(1, 3))
-        else:
-            coeffs = [zero, *draw(st.lists(elements, min_size=1, max_size=3))]
-        factor_order = draw(st.sampled_from((order, order, max(order - 1, 0))))
-        factors.append(XSeries(coeffs, factor_order, zero=zero))
+    factors = draw(st.lists(st.tuples(coefficients, coefficients), max_size=14))
     return one, order, factors, draw(st.lists(elements, max_size=3))
 
 
@@ -268,15 +257,20 @@ def _folded(one, order, factors):
     return reduce(mul, factors, XSeries([one], order, zero=one * 0))
 
 
+def _linear(one, order, factors):
+    """Each pair (a, b) as the series a + b x truncated at ``order``."""
+    return [XSeries([a, b], order, zero=one * 0) for a, b in factors]
+
+
 class TestSeriesProductKernel:
-    """``series_product`` applies each factor in place; the generic
-    ``XSeries.__mul__`` is the reference it must agree with."""
+    """``series_product`` applies each linear factor as one pass over one
+    list; the generic ``XSeries.__mul__`` is the reference it must agree with."""
 
     @settings(deadline=None)
     @given(ring_products())
     def test_matches_generic_product(self, case):
         one, order, factors, _ = case
-        product, reference = series_product(factors, order, one), _folded(one, order, factors)
+        product, reference = series_product(factors, order, one), _folded(one, order, _linear(one, order, factors))
         assert product == reference
         assert [type(c) for c in product.coefficients] == [type(c) for c in reference.coefficients]
 
@@ -285,10 +279,13 @@ class TestSeriesProductKernel:
     def test_reciprocal_pass_matches_geometric_series(self, case):
         one, order, factors, weights = case
         geometric = [geometric_series(w, order) for w in weights]
-        reference = _folded(one, order, factors + geometric)
+        reference = _folded(one, order, _linear(one, order, factors) + geometric)
         assert series_product(factors, order, one, reciprocals=weights) == reference
 
     def test_reciprocal_cancels_its_linear_factor(self):
         w = BiPoly.var_p() * BiPoly.var_q()
-        linear = XSeries([BiPoly.one(), -w], 6)
-        assert series_product([linear], 6, BiPoly.one(), reciprocals=[w]) == XSeries.one(6, BiPoly.one())
+        assert series_product([(BiPoly.one(), -w)], 6, BiPoly.one(), reciprocals=[w]) == XSeries.one(6, BiPoly.one())
+
+    def test_negative_order_raises(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            series_product([], -1)

@@ -3,6 +3,7 @@ dispatchers must reject unknown names."""
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import Counter
 
@@ -142,6 +143,7 @@ def test_dag_oracle_notes_its_cap():
 
 def test_routes_read_one_row_per_route_and_n(monkeypatch):
     weights_calls = count_calls(monkeypatch, coefficients.box_weights)
+    column_calls = count_calls(monkeypatch, coefficients.partial_fraction_column)
     point_calls = [
         count_calls(monkeypatch, function)
         for function in (
@@ -149,13 +151,18 @@ def test_routes_read_one_row_per_route_and_n(monkeypatch):
             coefficients.coeff_lambda_multiset,
             coefficients.coeff_factorial,
             coefficients.coeff_symbolic,
+            coefficients.coeff_product,
+            coefficients.coeff_partial_fractions,
         )
     ]
     report = routes_suite()
     per_row = Counter((params.p, params.q, n) for params, n in weights_calls)
     assert max(per_row.values()) == 2
     assert len(per_row) == 49 * 13  # every (p, q, n), n = 0 by the subset route alone
-    assert [len(calls) for calls in point_calls] == [0, 0, 0, 0]
+    # the partial-fraction basis (nodes, D(0..k), quotients) once per (p, q, k)
+    per_basis = Counter((params.p, params.q, k) for params, k, _ in column_calls)
+    assert len(per_basis) == 49 * 13 and max(per_basis.values()) == 1
+    assert [len(calls) for calls in point_calls] == [0, 0, 0, 0, 0, 0]
     assert report == IdentityReport(
         "route-agreement", "p in [-2..4], q in [-2..4]", (12, 12), "holds", checked=24308
     )
@@ -168,6 +175,7 @@ def test_routes_read_one_row_per_route_and_n(monkeypatch):
         ("multiset", "lambda_multiset_row", (3, 4, 7, 0)),
         ("factorial", "factorial_row", (-2, 3, 12, 12)),
         ("symbolic", "symbolic_row", (0, 2, 9, 4)),
+        ("product", "product_row", (3, -1, 8, 5)),
     ],
 )
 def test_routes_compare_every_row_entry(monkeypatch, route, row_form, where):
@@ -184,6 +192,34 @@ def test_routes_compare_every_row_entry(monkeypatch, route, row_form, where):
     assert report.status == "fails"
     location = {key: report.first_counterexample[key] for key in ("p", "q", "n", "k", "route")}
     assert location == dict(zip(("p", "q", "n", "k"), where), route=route)
+
+
+def test_routes_compare_every_partial_fraction_column_entry(monkeypatch):
+    original = coefficients.partial_fraction_column
+
+    def off_by_one(params, k, ns):
+        column = original(params, k, ns)
+        if (params.p, params.q, k) == (-2, 3, 4):
+            column[7 - k] += 1  # the entry of n = 7
+        return column
+
+    monkeypatch.setattr(suites, "partial_fraction_column", off_by_one)
+    report = routes_suite()
+    location = {key: report.first_counterexample[key] for key in ("p", "q", "n", "k", "route")}
+    assert location == {"p": -2, "q": 3, "n": 7, "k": 4, "route": "partial-fractions"}
+
+
+def test_orthogonality_and_vandermonde_read_reference_rows(monkeypatch):
+    # Each series expansion compares its coefficients with single entries
+    # (``identities._ring``); the suites' own sums read rows.  Expansions are
+    # memoized and made before counting, so only the sums are counted.
+    for name in ("expand_subset_gf", "expand_multiset_gf"):
+        monkeypatch.setattr(suites, name, functools.cache(getattr(identities, name)))
+    expected = orthogonality_suite(), vandermonde_suite()
+    calls = count_calls(monkeypatch, coefficients.coeff_recurrence)
+    assert (orthogonality_suite(), vandermonde_suite()) == expected
+    assert calls == []
+    assert [report.checked for report in expected] == [3136, 1944]
 
 
 def test_fibonomial_suite_builds_its_factorials_once(monkeypatch):
