@@ -40,14 +40,12 @@ from .errors import (
     BudgetExceededError,
     DegenerateParametersError,
     DivisibilityError,
-    IdentityViolation,
     ParameterMismatchError,
     SingularMatrixError,
 )
 from .identities import (
     alpha_fibonacci,
     binomial_like,
-    equal1_check,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
@@ -57,7 +55,6 @@ from .identities import (
     gaussian_explicit,
     gaussian_inverse_entry,
     orthogonality,
-    vandermonde,
     vandermonde_terms,
 )
 from .oracles import (
@@ -72,7 +69,7 @@ from .oracles import (
     verify_inverse_relation,
     volume_ratio,
 )
-from .report import IdentityReport, make_report
+from .report import IdentityReport
 from .rings import (
     BiPoly,
     QuadElem,
@@ -82,9 +79,7 @@ from .rings import (
     series_product,
 )
 from .sequences import (
-    Composition,
     SeqParams,
-    check_composition_recurrence,
     check_split_recurrence,
     compositions_of,
     gf_coefficients,
@@ -101,11 +96,9 @@ __all__ = [
     "BiPoly",
     "BoxWeights",
     "BudgetExceededError",
-    "Composition",
     "DegenerateParametersError",
     "DivisibilityError",
     "IdentityReport",
-    "IdentityViolation",
     "ParameterMismatchError",
     "QuadElem",
     "ROUTE_NAMES",
@@ -116,7 +109,6 @@ __all__ = [
     "alpha_fibonacci",
     "binomial_like",
     "box_weights",
-    "check_composition_recurrence",
     "check_split_recurrence",
     "coeff_factorial",
     "coeff_inverse",
@@ -133,7 +125,6 @@ __all__ = [
     "count_bipartite_multigraphs",
     "count_selections",
     "enumeration_budget",
-    "equal1_check",
     "exact_div",
     "expand_multiset_gf",
     "expand_split_gf",
@@ -147,7 +138,6 @@ __all__ = [
     "gf_coefficients",
     "inverse_rows",
     "invert_triangular",
-    "make_report",
     "multinomial",
     "orthogonality",
     "pq_grid",
@@ -160,7 +150,6 @@ __all__ = [
     "term_sum",
     "term_symbolic",
     "triangle_rows",
-    "vandermonde",
     "vandermonde_terms",
     "verify_inverse_relation",
     "volume_ratio",

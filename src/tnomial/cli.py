@@ -171,10 +171,10 @@ def _emit_reports(reports: list[IdentityReport], fmt: str, out) -> int:
 
 
 def _check_bounds(args: SimpleNamespace) -> None:
-    for flag in ("max", "order"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise UsageError(f"--{flag} must be nonnegative")
+    if getattr(args, "max", None) is not None and args.max < 0:
+        raise UsageError("--max must be nonnegative")
+    if getattr(args, "order", None) is not None and args.order < 1:
+        raise UsageError("--order must be positive")
 
 
 def _verify_grid(args: SimpleNamespace) -> list[tuple[int, int]] | None:

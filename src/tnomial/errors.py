@@ -26,17 +26,6 @@ class DegenerateParametersError(ValueError):
     interpolation nodes in a partial-fraction sum."""
 
 
-class IdentityViolation(AssertionError):
-    """A verified identity failed at a concrete location."""
-
-    def __init__(self, identity: str, location: object, lhs: object, rhs: object) -> None:
-        self.identity = identity
-        self.location = location
-        self.lhs = lhs
-        self.rhs = rhs
-        super().__init__(f"{identity} violated at {location}: {lhs!r} != {rhs!r}")
-
-
 class BudgetExceededError(RuntimeError):
     """A brute-force enumeration would exceed its hard budget."""
 

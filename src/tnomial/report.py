@@ -82,19 +82,6 @@ class IdentityReport:
         }
 
 
-def make_report(
-    identity_id: str,
-    params: str,
-    bounds: tuple[int, int],
-    counterexample: dict | None = None,
-    notes: Sequence[str] = (),
-    checked: int = 1,
-) -> IdentityReport:
-    """Report whose status follows from the counterexample and the count."""
-    status = "fails" if counterexample is not None else "holds" if checked else "vacuous"
-    return IdentityReport(identity_id, params, bounds, status, counterexample, tuple(notes), checked)
-
-
 def sweep(
     identity_id: str,
     params_label: str,
@@ -111,9 +98,11 @@ def sweep(
     append findings to it as it goes.
     """
     checked = 0
+    counterexample = None
     for point in points:
+        checked += 1
         if point[-2] != point[-1]:
             counterexample = dict(zip(keys, point[:-2]), lhs=point[-2], rhs=point[-1])
-            return make_report(identity_id, params_label, bounds, counterexample, notes, checked + 1)
-        checked += 1
-    return make_report(identity_id, params_label, bounds, None, notes, checked)
+            break
+    status = "fails" if counterexample is not None else "holds" if checked else "vacuous"
+    return IdentityReport(identity_id, params_label, bounds, status, counterexample, tuple(notes), checked)

@@ -29,27 +29,6 @@ class SeqParams:
             raise ValueError("scale must be a positive integer")
 
 
-@dataclass(frozen=True)
-class Composition:
-    """An ordered tuple of positive integer parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts:
-            raise ValueError("a composition needs at least one part")
-        if any(part < 1 for part in self.parts):
-            raise ValueError("composition parts must be positive integers")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
 def term_closed(params: SeqParams, n: int) -> int:
     """n-th term via the closed form; index 0 maps to 0."""
     if n < 0:
@@ -123,23 +102,9 @@ def check_split_recurrence(params: SeqParams, k: int, m: int) -> bool:
     return lhs == rhs
 
 
-def check_composition_recurrence(params: SeqParams, composition: Composition) -> bool:
-    """Does the composition-indexed expansion reproduce term(total)?
-
-    For parts (b_1, ..., b_r) the candidate value is the sum over i of
-    p**(b_{i+1} + ... + b_r) * q**(b_1 + ... + b_{i-1}) * term(b_i).
-    """
-    parts = composition.parts
-    total = 0
-    for i, part in enumerate(parts):
-        p_exp = sum(parts[i + 1 :])
-        q_exp = sum(parts[:i])
-        total += params.p**p_exp * params.q**q_exp * term_closed(params, part)
-    return total == term_closed(params, composition.total)
-
-
-def compositions_of(n: int, parts: int) -> Iterator[Composition]:
-    """All compositions of n into exactly ``parts`` positive parts.
+def compositions_of(n: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """All compositions of n into exactly ``parts`` positive parts, each a
+    tuple of its parts.
 
     Yields in ascending lexicographic order; the count is the ordinary
     binomial coefficient of (n - 1) over (parts - 1).
@@ -149,9 +114,9 @@ def compositions_of(n: int, parts: int) -> Iterator[Composition]:
     return _compositions(n, parts, ())
 
 
-def _compositions(n: int, parts: int, prefix: tuple[int, ...]) -> Iterator[Composition]:
+def _compositions(n: int, parts: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     if parts == 1:
-        yield Composition(prefix + (n,))
+        yield prefix + (n,)
         return
     for first in range(1, n - parts + 2):
         yield from _compositions(n - first, parts - 1, prefix + (first,))

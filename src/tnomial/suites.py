@@ -19,6 +19,7 @@ from .coefficients import (
     coeff_factorial,
     coeff_partial_fractions,
     coeff_recurrence,
+    coeff_symbolic,
     factorial_row,
     inverse_rows,
     lambda_multiset_row,
@@ -28,13 +29,12 @@ from .coefficients import (
     symbolic_row,
     triangle_rows,
 )
-from .errors import DegenerateParametersError, IdentityViolation
+from .errors import DegenerateParametersError
 from .identities import (
     _binom2,
     _orthogonal_at,
     _vandermonde_at,
     binomial_like,
-    equal1_check,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
@@ -55,7 +55,7 @@ from .oracles import (
     volume_ratio,
 )
 from .report import IdentityReport, sweep
-from .rings import XSeries
+from .rings import BiPoly, XSeries
 from .sequences import SeqParams, term_closed
 
 DEFAULT_GRID_LO = -2
@@ -82,18 +82,6 @@ def _grid_label(grid: list[tuple[int, int]]) -> str:
     ps = sorted({p for p, _ in grid})
     qs = sorted({q for _, q in grid})
     return f"p in [{ps[0]}..{ps[-1]}], q in [{qs[0]}..{qs[-1]}]"
-
-
-def _asserted(check, *args) -> tuple:
-    """Run a check that raises IdentityViolation at its first mismatch as
-    one comparison: ``(where, lhs, rhs)`` with the violation's location and
-    sides, or the check's result on both sides when it passes.  The sweep
-    stops at a violation, so no generator goes on to use its result."""
-    try:
-        result = check(*args)
-    except IdentityViolation as violation:
-        return f"{violation.identity} at {violation.location}", violation.lhs, violation.rhs
-    return None, result, result
 
 
 def _route_points(grid, n_max):
@@ -150,39 +138,58 @@ def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> 
     return sweep("route-agreement", _grid_label(grid), (n_max, n_max), keys, _route_points(grid, n_max))
 
 
+def _series_points(p, q, n, subset, multiset, rows):
+    """One point per coefficient of the subset series and, unless None,
+    the multiset series of n, against C read from ``rows``."""
+    for k, lhs in enumerate(subset.coefficients):
+        yield p, q, n, "subset-gf", k, lhs, (-1) ** k * (p * q) ** _binom2(k) * rows[n][k] if k <= n else 0
+    if multiset is not None:
+        for k, lhs in enumerate(multiset.coefficients):
+            yield p, q, n, "multiset-gf", k, lhs, rows[n + k - 1][k]
+
+
 def _gf_points(grid, n_max, order):
     for p, q in grid:
         params = SeqParams(p, q)
+        # rows up to n_max + order - 2: the multiset coefficient k of n is C(n + k - 1, k)
+        rows = list(_rows(triangle_rows, params, n_max + max(order - 2, 0)))
         for n in range(n_max + 1):
-            where, subset, expected = _asserted(expand_subset_gf, n, params, order)
-            yield p, q, n, where, subset, expected
-            yield p, q, n, *_asserted(expand_split_gf, n, params)
-            if n >= 1:
-                where, multiset, expected = _asserted(expand_multiset_gf, n, order, params)
-                yield p, q, n, where, multiset, expected
+            subset = expand_subset_gf(n, params, order)
+            multiset = expand_multiset_gf(n, order, params) if n >= 1 else None
+            yield from _series_points(p, q, n, subset, multiset, rows)
+            for k, lhs in enumerate(expand_split_gf(n, params).coefficients):
+                yield p, q, n, "split-gf", k, lhs, (-1) ** k * q ** _binom2(k) * p ** _binom2(n - k) * rows[n][k]
+            if multiset is not None:
                 yield p, q, n, "subset * multiset", subset * multiset, XSeries.one(order)
 
 
 def gf_suite(
     grid: list[tuple[int, int]] | None = None, n_max: int = 8, order: int = 10
 ) -> IdentityReport:
-    """Coefficient coherence of the three product expansions, plus the
-    mutual-inverse check: subset series times multiset series equals 1."""
+    """Coefficient coherence of the three product expansions, one point per
+    coefficient, plus the mutual-inverse check: subset series times
+    multiset series equals 1."""
     if grid is None:
         grid = pq_grid()
     points = _gf_points(grid, n_max, order)
-    return sweep("gf-coherence", _grid_label(grid), (n_max, order), ("p", "q", "n", "check"), points)
+    keys = ("p", "q", "n", "check", "k")
+    return sweep("gf-coherence", _grid_label(grid), (n_max, order), keys, points)
 
 
 def _binomial_points(n_max):
+    p, q = BiPoly.var_p(), BiPoly.var_q()
     for n in range(1, n_max + 1):
         for form in ("y_weights", "split"):
-            yield n, form, *_asserted(binomial_like, n, form)
+            series = binomial_like(n, form)
+            for k in range(n + 1):
+                # the x**(n-k) coefficient carries y**k
+                p_exp = _binom2(k) if form == "y_weights" else _binom2(n - k)
+                yield n, form, k, series[n - k], q ** _binom2(k) * p**p_exp * coeff_symbolic(n, k)
 
 
 def binomial_suite(n_max: int = 7) -> IdentityReport:
     """Symbolic binomial-like expansion, both forms, over Z[p, q]."""
-    keys = ("n", "form", "check")
+    keys = ("n", "form", "k")
     return sweep("binomial-like", "symbolic", (n_max, n_max), keys, _binomial_points(n_max))
 
 
@@ -193,24 +200,24 @@ def _orthogonality_points(grid, n_max, s_max):
         params = SeqParams(p, q)
         rows = list(_rows(triangle_rows, params, n_max + s_max - 1))
         for n in range(1, n_max + 1):
-            # Both series of n once, to the highest order any s reads; a
-            # violation in either is one failing point at its location.
-            subset = _asserted(expand_subset_gf, n, params, s_max + 1)
-            multiset = _asserted(expand_multiset_gf, n, s_max + 1, params)
-            for where, lhs, rhs in (subset, multiset):
-                if where is not None:
-                    yield p, q, n, where, lhs, rhs
+            # both series of n once, to the highest order any s reads
+            subset = expand_subset_gf(n, params, s_max + 1)
+            multiset = expand_multiset_gf(n, s_max + 1, params)
+            yield from _series_points(p, q, n, subset, multiset, rows)
             for s in range(1, s_max + 1):
-                yield p, q, n, s, _orthogonal_at(params, n, s, subset[1], multiset[1], rows), True
+                yield p, q, n, "orthogonal", s, _orthogonal_at(params, n, s, subset, multiset, rows), True
 
 
 def orthogonality_suite(
     grid: list[tuple[int, int]] | None = None, n_max: int = 8, s_max: int = 8
 ) -> IdentityReport:
+    """Both series of each n, coefficient by coefficient, and their
+    orthogonality sums at every s."""
     if grid is None:
         grid = pq_grid()
     points = _orthogonality_points(grid, n_max, s_max)
-    return sweep("orthogonality", _grid_label(grid), (n_max, s_max), ("p", "q", "n", "s"), points)
+    keys = ("p", "q", "n", "check", "k")
+    return sweep("orthogonality", _grid_label(grid), (n_max, s_max), keys, points)
 
 
 def _vandermonde_points(grid, nm_max, notes):
@@ -255,10 +262,10 @@ def _unit_sum_points(grid, k_max):
         params = SeqParams(p, q)
         for k in range(k_max + 1):
             try:
-                ok = equal1_check(params, k)
+                total = coeff_partial_fractions(params, k, k)
             except DegenerateParametersError:
                 continue
-            yield p, q, k, 1 if ok else coeff_partial_fractions(params, k, k), 1
+            yield p, q, k, total, 1
 
 
 def equal1_suite(grid: list[tuple[int, int]] | None = None, k_max: int = 8) -> IdentityReport:
@@ -315,22 +322,22 @@ def _specialization_points(n_max):
         params = SeqParams(1, q_val)
         for n in range(min(n_max, 6) + 1):
             for k in range(n + 1):
-                where, value, expected = _asserted(gaussian_explicit, q_val, n, k)
-                yield "gaussian-explicit", 1, q_val, 1, n, k, where, value, expected
+                # an exact Fraction, so a non-integral sum cannot equal C
+                explicit = gaussian_explicit(q_val, n, k)
+                yield "gaussian-explicit", 1, q_val, 1, n, k, explicit, coeff_recurrence(params, n, k)
             yield "gaussian-basis", 1, q_val, 1, n, gaussian_basis_check(q_val, n), True
         for n, inverse in enumerate(_rows(inverse_rows, params, n_max)):
             for k, entry in enumerate(inverse):
                 yield "gaussian-inverse", 1, q_val, 1, n, k, entry, gaussian_inverse_entry(q_val, n, k)
 
     for p, q in ((2, 3), (1, 2), (2, 2)):
-        reference = SeqParams(p, q)
+        bases = [factorial_row(SeqParams(p, q), n) for n in range(n_max + 1)]
         for scale in (2, 3):
             scaled = SeqParams(p, q, scale)
             for n in range(n_max + 1):
                 for k in range(n + 1):
-                    base = coeff_factorial(reference, n, k)
                     value = coeff_factorial(scaled, n, k)
-                    yield "scale", p, q, scale, n, k, value, base
+                    yield "scale", p, q, scale, n, k, value, bases[n][k]
                     yield "scale", p, q, scale, n, k, value, coeff_recurrence(scaled, n, k)
 
 
@@ -343,7 +350,7 @@ def specialization_suite(n_max: int = 8) -> IdentityReport:
     invariant under the sequence scale.
     """
     label = "pascal, gaussian q in {2, 3}, scale in {1, 2, 3}"
-    keys = ("case", "p", "q", "scale", "n", "k", "check")
+    keys = ("case", "p", "q", "scale", "n", "k")
     return sweep("specializations", label, (n_max, n_max), keys, _specialization_points(n_max))
 
 

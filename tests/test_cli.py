@@ -14,7 +14,7 @@ import pytest
 
 from tnomial import cli, coefficients
 from tnomial.coefficients import coeff_factorial, coeff_recurrence, set_cache_limit, triangle_rows
-from tnomial.report import make_report
+from tnomial.report import IdentityReport
 from tnomial.sequences import SeqParams
 
 
@@ -281,7 +281,7 @@ class TestVerify:
         assert int(rows[1][7]) > 0
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        failing = make_report("demo", "grid", (1, 1), {"n": 0, "lhs": 1, "rhs": 2})
+        failing = IdentityReport("demo", "grid", (1, 1), "fails", {"n": 0, "lhs": 1, "rhs": 2}, checked=1)
         monkeypatch.setattr(cli, "run_verify", lambda *a, **k: [failing])
         rc, out, _ = run_cli("verify", "--identity", "routes", capsys=capsys)
         assert rc == 1
@@ -342,8 +342,17 @@ class TestVerify:
     def test_negative_bounds_rejected(self, argv, capsys):
         rc, out, err = run_cli(*argv, capsys=capsys)
         assert rc == 2
-        assert "nonnegative" in err
+        assert ("--order must be positive" if "--order" in argv else "must be nonnegative") in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [("verify", "--order", "0"), ("verify", "--identity", "gf", "--order", "0")])
+    def test_order_zero_rejected_before_any_suite(self, argv, capsys, monkeypatch):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(cli, "run_verify", no_suite)
+        rc, out, err = run_cli(*argv, capsys=capsys)
+        assert (rc, out, err) == (2, "", "error: --order must be positive\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -377,7 +386,7 @@ class TestOracle:
         assert "acyclic-oracle" in out
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        failing = make_report("demo", "grid", (1, 1), {"n": 0, "lhs": 1, "rhs": 2})
+        failing = IdentityReport("demo", "grid", (1, 1), "fails", {"n": 0, "lhs": 1, "rhs": 2}, checked=1)
         monkeypatch.setattr(cli, "run_oracle", lambda *a, **k: [failing])
         rc, out, _ = run_cli("oracle", capsys=capsys)
         assert rc == 1

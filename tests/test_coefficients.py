@@ -65,7 +65,7 @@ def composition_sum_inverse(params, n, k):
     alternating = 1 if r == 0 else 0
     for s in range(1, r + 1):
         for composition in compositions_of(r, s):
-            alternating += (-1) ** s * multinomial(params, r, composition.parts)
+            alternating += (-1) ** s * multinomial(params, r, composition)
     return coeff_recurrence(params, n, k) * alternating
 
 

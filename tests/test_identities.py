@@ -3,18 +3,19 @@ fibonomials and the Gaussian specialization."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tnomial import identities, suites
+from tnomial import suites
 from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coeff_symbolic, triangle_rows
-from tnomial.errors import DegenerateParametersError, IdentityViolation
+from tnomial.errors import DegenerateParametersError
 from tnomial.identities import (
     _orthogonal_at,
     alpha_fibonacci,
     binomial_like,
-    equal1_check,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
@@ -24,10 +25,9 @@ from tnomial.identities import (
     gaussian_explicit,
     gaussian_inverse_entry,
     orthogonality,
-    vandermonde,
     vandermonde_terms,
 )
-from tnomial.rings import BiPoly, QuadElem, series_product
+from tnomial.rings import BiPoly, QuadElem, XSeries
 from tnomial.sequences import SeqParams
 from tnomial.suites import pq_grid
 
@@ -58,19 +58,23 @@ class TestProductExpansions:
             with pytest.raises(ValueError, match="order must be nonnegative"):
                 expand_subset_gf(n, params_23, -2)
 
-    def test_expansions_run_over_grid(self):
-        for p in range(-2, 5):
-            for q in range(-2, 5):
-                params = SeqParams(p, q)
-                for n in range(6):
-                    expand_subset_gf(n, params)
-                    expand_split_gf(n, params)
-                    if n >= 1:
-                        expand_multiset_gf(n, 8, params)
+    def test_expansions_match_their_coefficient_formulas_over_grid(self):
+        for p, q in pq_grid():
+            params = SeqParams(p, q)
+            for n in range(6):
+                row = [coeff_recurrence(params, n, k) for k in range(n + 1)]
+                subset = [(-1) ** k * (p * q) ** (k * (k - 1) // 2) * c for k, c in enumerate(row)]
+                split = [
+                    (-1) ** k * q ** (k * (k - 1) // 2) * p ** ((n - k) * (n - k - 1) // 2) * c
+                    for k, c in enumerate(row)
+                ]
+                assert list(expand_subset_gf(n, params, n + 3).coefficients) == subset + [0, 0], (p, q, n)
+                assert list(expand_split_gf(n, params).coefficients) == split, (p, q, n)
+                if n >= 1:
+                    multiset = [coeff_recurrence(params, n + k - 1, k) for k in range(8)]
+                    assert list(expand_multiset_gf(n, 8, params).coefficients) == multiset, (p, q, n)
 
     def test_subset_times_multiset_is_one(self):
-        from tnomial.rings import XSeries
-
         for n in range(1, 7):
             a = expand_subset_gf(n, params_23, 9)
             b = expand_multiset_gf(n, 9, params_23)
@@ -103,69 +107,40 @@ class TestSymbolicMatchesNumeric:
                     assert _evaluated(symbolic, p, q) == list(numeric.coefficients)
 
     @pytest.mark.parametrize("p, q", EVAL_POINTS)
-    def test_binomial_expansions(self, p, q, monkeypatch):
-        products = []
-
-        def recorded(*args, **kwargs):
-            products.append(series_product(*args, **kwargs))
-            return products[-1]
-
-        monkeypatch.setattr(identities, "series_product", recorded)
+    def test_binomial_expansions(self, p, q):
         for n in range(1, 7):
             for form in ("y_weights", "split"):
-                assert binomial_like(n, form) and binomial_like(n, form, SeqParams(p, q))
-                symbolic, numeric = products[-2:]
+                symbolic, numeric = binomial_like(n, form), binomial_like(n, form, SeqParams(p, q))
                 assert _evaluated(symbolic, p, q) == list(numeric.coefficients)
-        assert len(products) == 24
 
 
-P, Q = BiPoly.var_p(), BiPoly.var_q()
+def binomial_like_expected(n, form, p, q, coeff):
+    """The x**j coefficients of ``binomial_like(n, form)`` by their
+    formula: the x**(n-k) coefficient is q**C(k,2) p**E C(n, k), with
+    E = C(k,2) for "y_weights" and C(n-k,2) for "split"."""
 
-# (identity, call, weight, entry): with the coefficient at k = 2 off by one,
-# the check fails at (5, 2) with lhs weight * C(entry) and rhs weight * (C(entry) + 1).
-CORRUPTED = {
-    "subset-gf": (lambda params: expand_subset_gf(5, params), lambda p, q: p * q, (5, 2)),
-    "multiset-gf": (lambda params: expand_multiset_gf(5, 4, params), lambda p, q: 1, (6, 2)),
-    "split-gf": (lambda params: expand_split_gf(5, params), lambda p, q: q * p**3, (5, 2)),
-    "binomial-like/y_weights": (lambda params: binomial_like(5, "y_weights", params), lambda p, q: q * p, (5, 2)),
-    "binomial-like/split": (lambda params: binomial_like(5, "split", params), lambda p, q: q * p**3, (5, 2)),
-}
+    def c2(k):
+        return k * (k - 1) // 2
 
-
-class TestCorruptedCoefficients:
-    @pytest.mark.parametrize("identity", CORRUPTED)
-    @pytest.mark.parametrize("params", [None, params_23, SeqParams(-3, 2)], ids=["symbolic", "2,3", "-3,2"])
-    def test_violation_fields(self, identity, params, monkeypatch):
-        call, weight, entry = CORRUPTED[identity]
-
-        def off_by_one(coeff):
-            return lambda *args: coeff(*args) + (args[-1] == 2)
-
-        monkeypatch.setattr(identities, "coeff_recurrence", off_by_one(coeff_recurrence))
-        monkeypatch.setattr(identities, "coeff_symbolic", off_by_one(coeff_symbolic))
-        if params is None:
-            w, true = weight(P, Q), coeff_symbolic(*entry)
-        else:
-            w, true = weight(params.p, params.q), coeff_recurrence(params, *entry)
-        with pytest.raises(IdentityViolation) as excinfo:
-            call(params)
-        err = excinfo.value
-        assert (err.identity, err.location) == (identity, (5, 2))
-        assert err.lhs == w * true
-        assert err.rhs == w * (true + 1)
+    by_k = [q ** c2(k) * p ** (c2(k) if form == "y_weights" else c2(n - k)) * coeff(n, k) for k in range(n + 1)]
+    return by_k[::-1]
 
 
 class TestBinomialLike:
     def test_both_forms_symbolic(self):
+        p, q = BiPoly.var_p(), BiPoly.var_q()
         for n in range(1, 7):
-            assert binomial_like(n, "y_weights")
-            assert binomial_like(n, "split")
+            for form in ("y_weights", "split"):
+                expected = binomial_like_expected(n, form, p, q, coeff_symbolic)
+                assert list(binomial_like(n, form).coefficients) == expected, (n, form)
 
     def test_numeric_params(self):
         for p, q in ((2, 3), (-1, 2), (0, 3), (2, 2)):
+            params = SeqParams(p, q)
             for n in range(1, 6):
-                assert binomial_like(n, "y_weights", SeqParams(p, q))
-                assert binomial_like(n, "split", SeqParams(p, q))
+                for form in ("y_weights", "split"):
+                    expected = binomial_like_expected(n, form, p, q, lambda n, k: coeff_recurrence(params, n, k))
+                    assert list(binomial_like(n, form, params).coefficients) == expected, (p, q, n, form)
 
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
@@ -281,10 +256,10 @@ class TestVandermonde:
     def test_frozen_resolution(self):
         assert vandermonde_terms(params_23, 2, 2, 2) == (247, 247, 235)
 
-    def test_single_point_report(self):
-        report = vandermonde(params_23, 2, 2, 2)
+    def test_plain_variant_refuted_at_one_pair(self):
+        report = suites.vandermonde_suite([(2, 3)], 2)
         assert report.holds
-        assert any("235" in note for note in report.notes)
+        assert report.notes[-1] == "plain-exponent variant fails (interior) at p=2, q=3, n=1, m=2, k=1: 34 != 19"
 
     def test_proof_exponent_matches_convolution(self):
         for p, q in ((1, 2), (2, 3), (3, 1), (1, 1)):
@@ -299,15 +274,13 @@ class TestVandermonde:
 
 class TestUnitSum:
     def test_exactly_one(self):
-        for k in range(9):
-            assert equal1_check(params_23, k)
-        assert coeff_partial_fractions(params_23, 5, 5) == 1
+        assert [coeff_partial_fractions(params_23, k, k) for k in range(9)] == [1] * 9
 
     def test_degenerate_parameters_raise(self):
         with pytest.raises(DegenerateParametersError):
-            equal1_check(SeqParams(2, 2), 3)
+            coeff_partial_fractions(SeqParams(2, 2), 3, 3)
         with pytest.raises(DegenerateParametersError):
-            equal1_check(SeqParams(-2, 2), 2)
+            coeff_partial_fractions(SeqParams(-2, 2), 2, 2)
 
 
 class TestFibonomial:
@@ -357,8 +330,9 @@ class TestFibonomial:
 
 class TestGaussian:
     def test_explicit_sum_frozen(self):
-        assert gaussian_explicit(2, 4, 2) == 35
-        assert gaussian_explicit(3, 4, 2) == 130
+        assert gaussian_explicit(2, 4, 2) == Fraction(35)
+        assert gaussian_explicit(3, 4, 2) == Fraction(130)
+        assert isinstance(gaussian_explicit(2, 4, 2), Fraction)
 
     def test_explicit_matches_triangle(self):
         for q_val in (2, 3, -2):
@@ -379,14 +353,4 @@ class TestGaussian:
     def test_power_basis_conversion(self):
         for q_val in (2, 3):
             for n in range(6):
-                assert gaussian_basis_check(q_val, n)
-
-
-class TestViolationReporting:
-    def test_identity_violation_fields(self):
-        err = IdentityViolation("some-check", (4, 2), 7, 8)
-        assert err.identity == "some-check"
-        assert err.location == (4, 2)
-        assert err.lhs == 7
-        assert err.rhs == 8
-        assert "some-check" in str(err)
+                assert gaussian_basis_check(q_val, n) is True

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from tnomial.report import IdentityReport, decimal_str, make_report, sweep
+from tnomial.report import IdentityReport, decimal_str, sweep
 
 
 def lifted_str(value) -> str:
@@ -34,15 +34,23 @@ def test_status_counterexample_consistency():
         IdentityReport("x", "grid", (3, 3), "maybe", None)
 
 
-def test_make_report_infers_status():
-    assert make_report("x", "grid", (3, 3)).holds
-    failing = make_report("x", "grid", (3, 3), {"n": 1, "lhs": 2, "rhs": 3})
+def test_sweep_infers_status():
+    assert sweep("x", "grid", (3, 3), ("n",), [(1, 2, 2)]).holds
+    failing = sweep("x", "grid", (3, 3), ("n",), [(1, 2, 3)])
     assert not failing.holds
     assert failing.status == "fails"
+    assert failing == IdentityReport("x", "grid", (3, 3), "fails", {"n": 1, "lhs": 2, "rhs": 3}, checked=1)
+
+
+def test_sweep_counterexample_fields():
+    # location keys, then the two mismatched sides, exactly as compared
+    report = sweep("some-check", "grid", (4, 2), ("n", "k"), [(4, 1, 7, 7), (4, 2, 7, 8)])
+    assert report.first_counterexample == {"n": 4, "k": 2, "lhs": 7, "rhs": 8}
+    assert report.checked == 2
 
 
 def test_to_dict_stringifies_numbers():
-    report = make_report("x", "grid", (4, 5), {"n": 1, "lhs": 2, "rhs": 3}, ("note",))
+    report = sweep("x", "grid", (4, 5), ("n",), [(1, 2, 3)], ("note",))
     d = report.to_dict()
     assert d["n_max"] == "4"
     assert d["k_max"] == "5"
@@ -51,7 +59,7 @@ def test_to_dict_stringifies_numbers():
 
 
 def test_holds_report_serializes_null_counterexample():
-    d = make_report("x", "grid", (1, 1)).to_dict()
+    d = sweep("x", "grid", (1, 1), ("n",), [(0, 1, 1)]).to_dict()
     assert d["counterexample"] is None
     assert d["status"] == "holds"
 
@@ -66,7 +74,7 @@ def test_vacuous_status_invariants():
         IdentityReport("x", "grid", (0, 0), "holds", checked=0)
     with pytest.raises(ValueError):
         IdentityReport("x", "grid", (0, 0), "fails", {"n": 1}, checked=0)
-    assert make_report("x", "grid", (0, 0), checked=0).status == "vacuous"
+    assert sweep("x", "grid", (0, 0), ("n",), []).status == "vacuous"
 
 
 def test_sweep_counts_every_compared_pair():
@@ -121,5 +129,5 @@ def test_decimal_str_is_str_below_the_limit(value):
 )
 def test_decimal_str_past_the_limit(value):
     assert decimal_str(value) == lifted_str(value)
-    huge = make_report("x", "grid", (1, 1), {"n": 1, "lhs": value, "rhs": 0})
+    huge = sweep("x", "grid", (1, 1), ("n",), [(1, value, 0)])
     assert huge.to_dict()["counterexample"]["lhs"] == lifted_str(value)

@@ -9,9 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tnomial.sequences import (
-    Composition,
     SeqParams,
-    check_composition_recurrence,
     check_split_recurrence,
     compositions_of,
     gf_coefficients,
@@ -112,14 +110,10 @@ class TestSplitRecurrence:
         with pytest.raises(ValueError):
             check_split_recurrence(params_23, 0, 3)
 
-    @given(param_ints, param_ints, st.lists(st.integers(1, 4), min_size=1, max_size=4))
-    def test_composition_form_holds(self, p, q, parts):
-        assert check_composition_recurrence(SeqParams(p, q), Composition(tuple(parts)))
-
 
 class TestCompositions:
     def test_lexicographic_order(self):
-        got = [c.parts for c in compositions_of(4, 2)]
+        got = list(compositions_of(4, 2))
         assert got == [(1, 3), (2, 2), (3, 1)]
 
     def test_count(self):
@@ -129,9 +123,9 @@ class TestCompositions:
 
     def test_parts_sum_and_positivity(self):
         for c in compositions_of(6, 3):
-            assert c.total == 6
+            assert sum(c) == 6
             assert len(c) == 3
-            assert all(part >= 1 for part in c.parts)
+            assert all(part >= 1 for part in c)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -141,10 +135,3 @@ class TestCompositions:
 
     def test_more_parts_than_total_is_empty(self):
         assert list(compositions_of(2, 3)) == []
-
-    def test_composition_validation(self):
-        with pytest.raises(ValueError):
-            Composition(())
-        with pytest.raises(ValueError):
-            Composition((1, 0, 2))
-        assert Composition([2, 1]).parts == (2, 1)

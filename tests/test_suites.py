@@ -3,19 +3,23 @@ dispatchers must reject unknown names."""
 
 from __future__ import annotations
 
-import functools
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from tnomial import coefficients, identities, oracles, suites
 from tnomial.report import IdentityReport
+from tnomial.sequences import SeqParams
 from tnomial.suites import (
     IDENTITY_SUITES,
     ORACLE_SUITES,
+    binomial_suite,
     dag_oracle_suite,
+    equal1_suite,
     fibonomial_reports,
+    gf_suite,
     inversion_suite,
     orthogonality_suite,
     pq_grid,
@@ -23,6 +27,7 @@ from tnomial.suites import (
     run_oracle,
     run_verify,
     sample_grid,
+    specialization_suite,
     vandermonde_suite,
 )
 
@@ -68,20 +73,76 @@ def test_unknown_names_rejected():
         run_oracle("numerology")
 
 
+def corrupt_triangle_rows(monkeypatch, n, k):
+    """Make the suites read ``triangle_rows`` with entry (n, k) off by one."""
+    original = coefficients.triangle_rows
+
+    def off_by_one(params, n_max):
+        for m, row in enumerate(original(params, n_max)):
+            yield [value + ((m, j) == (n, k)) for j, value in enumerate(row)]
+
+    monkeypatch.setattr(suites, "triangle_rows", off_by_one)
+
+
+def mismatches(points):
+    return [point for point in points if point[-2] != point[-1]]
+
+
 def test_orthogonality_violation_is_a_failing_point(monkeypatch):
-    recurrence = identities.coeff_recurrence
-
-    def off_by_one_at_3_2(params, n, k):
-        return recurrence(params, n, k) + ((n, k) == (3, 2))
-
-    monkeypatch.setattr(identities, "coeff_recurrence", off_by_one_at_3_2)
+    corrupt_triangle_rows(monkeypatch, 3, 2)
     report = orthogonality_suite([(2, 3)], 4, 4)
     assert report.status == "fails"
-    # n = 1 passes at every s; n = 2's multiset series reads C(3, 2) as coefficient 2
-    assert report.checked == 5
+    # n = 1: 5 + 5 series coefficients and 4 sums pass; n = 2: 5 subset
+    # coefficients pass, and its multiset coefficient 2 reads C(3, 2)
+    assert report.checked == 22
     assert report.first_counterexample == {
-        "p": 2, "q": 3, "n": 2, "s": "multiset-gf at (2, 2)", "lhs": 19, "rhs": 20,
+        "p": 2, "q": 3, "n": 2, "check": "multiset-gf", "k": 2, "lhs": 19, "rhs": 20,
     }
+
+
+GF_KEYS = ("p", "q", "n", "check", "k", "lhs", "rhs")
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (-3, 2)])
+@pytest.mark.parametrize("check", ["subset-gf", "split-gf", "multiset-gf"])
+def test_gf_compares_every_series_coefficient(monkeypatch, check, p, q):
+    # With C(5, 2) off by one, exactly one coefficient of each series reads
+    # it and fails, with the true weighted entry against the corrupted one.
+    c = coefficients.coeff_recurrence(SeqParams(p, q), 5, 2)
+    corrupt_triangle_rows(monkeypatch, 5, 2)
+    expected = {
+        "multiset-gf": (p, q, 4, "multiset-gf", 2, c, c + 1),  # coefficient 2 of n = 4 is C(4 + 2 - 1, 2)
+        "subset-gf": (p, q, 5, "subset-gf", 2, p * q * c, p * q * (c + 1)),
+        "split-gf": (p, q, 5, "split-gf", 2, q * p**3 * c, q * p**3 * (c + 1)),
+    }
+    failed = mismatches(suites._gf_points([(p, q)], 8, 10))
+    assert [point for point in failed if point[3] == check] == [expected[check]]
+    assert len(failed) == 3
+    # the sweep stops at the first of them: n = 4 comes before n = 5
+    assert gf_suite([(p, q)]).first_counterexample == dict(zip(GF_KEYS, expected["multiset-gf"]))
+
+
+@pytest.mark.parametrize("form, weight", [("y_weights", lambda p, q: q * p), ("split", lambda p, q: q * p**3)])
+def test_binomial_compares_every_coefficient(monkeypatch, form, weight):
+    symbolic = coefficients.coeff_symbolic
+    monkeypatch.setattr(suites, "coeff_symbolic", lambda n, k: symbolic(n, k) + ((n, k) == (5, 2)))
+    w, c = weight(identities.BiPoly.var_p(), identities.BiPoly.var_q()), symbolic(5, 2)
+    failed = mismatches(suites._binomial_points(7))
+    assert [point for point in failed if point[1] == form] == [(5, form, 2, w * c, w * (c + 1))]
+    assert len(failed) == 2
+    report = binomial_suite()
+    assert failed[0][1] == "y_weights"
+    assert report.first_counterexample == dict(zip(("n", "form", "k", "lhs", "rhs"), failed[0]))
+    assert report.checked == 2 * (2 + 3 + 4 + 5) + 3  # n = 1..4 both forms, n = 5 y_weights k = 0..2
+
+
+def test_unit_sum_computes_each_sum_once(monkeypatch):
+    calls = []
+    original = coefficients.coeff_partial_fractions
+    monkeypatch.setattr(suites, "coeff_partial_fractions", lambda *args: calls.append(args) or original(*args) + 1)
+    report = equal1_suite([(2, 3)], 3)
+    assert report.first_counterexample == {"p": 2, "q": 3, "k": 0, "lhs": 2, "rhs": 1}
+    assert calls == [(SeqParams(2, 3), 0, 0)]
 
 
 def test_orthogonality_expands_each_series_once_per_n(monkeypatch):
@@ -97,7 +158,8 @@ def test_orthogonality_expands_each_series_once_per_n(monkeypatch):
             monkeypatch.setattr(module, name, counting)
     report = orthogonality_suite([(2, 3)], 5, 7)
     assert calls == {"expand_subset_gf": 5, "expand_multiset_gf": 5}
-    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=35)
+    # per n: 8 subset and 8 multiset coefficients, and one point per s
+    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=115)
 
 
 def count_calls(monkeypatch, function) -> list[tuple]:
@@ -209,17 +271,21 @@ def test_routes_compare_every_partial_fraction_column_entry(monkeypatch):
     assert location == {"p": -2, "q": 3, "n": 7, "k": 4, "route": "partial-fractions"}
 
 
-def test_orthogonality_and_vandermonde_read_reference_rows(monkeypatch):
-    # Each series expansion compares its coefficients with single entries
-    # (``identities._ring``); the suites' own sums read rows.  Expansions are
-    # memoized and made before counting, so only the sums are counted.
-    for name in ("expand_subset_gf", "expand_multiset_gf"):
-        monkeypatch.setattr(suites, name, functools.cache(getattr(identities, name)))
-    expected = orthogonality_suite(), vandermonde_suite()
+def test_gf_orthogonality_and_vandermonde_read_reference_rows(monkeypatch):
     calls = count_calls(monkeypatch, coefficients.coeff_recurrence)
-    assert (orthogonality_suite(), vandermonde_suite()) == expected
+    reports = gf_suite(), orthogonality_suite(), vandermonde_suite()
     assert calls == []
-    assert [report.checked for report in expected] == [3136, 1944]
+    assert [(report.status, report.checked) for report in reports] == [
+        ("holds", 10927), ("holds", 10192), ("holds", 1944)
+    ]
+
+
+def test_specializations_read_each_unscaled_row_once(monkeypatch):
+    calls = count_calls(monkeypatch, coefficients.coeff_factorial)
+    report = specialization_suite()
+    assert len(calls) == 270
+    assert all(params.scale in (2, 3) for params, _, _ in calls)
+    assert (report.status, report.checked) == ("holds", 790)
 
 
 def test_fibonomial_suite_builds_its_factorials_once(monkeypatch):
@@ -227,3 +293,17 @@ def test_fibonomial_suite_builds_its_factorials_once(monkeypatch):
     reports = fibonomial_reports()
     assert calls == []
     assert [(report.status, report.checked) for report in reports] == [("holds", 155)] * 2
+
+
+def test_specializations_compare_the_exact_gaussian_sum(monkeypatch):
+    # a sum off by one half must fail as itself, not as its integer part
+    explicit = identities.gaussian_explicit
+
+    def off_by_half(q_val, n, k):
+        return explicit(q_val, n, k) + Fraction(((q_val, n, k) == (3, 4, 2)), 2)
+
+    monkeypatch.setattr(suites, "gaussian_explicit", off_by_half)
+    report = specialization_suite()
+    assert report.first_counterexample == {
+        "case": "gaussian-explicit", "p": 1, "q": 3, "scale": 1, "n": 4, "k": 2, "lhs": Fraction(261, 2), "rhs": 130,
+    }
