@@ -27,6 +27,7 @@ from tnomial.identities import (
     orthogonality,
     vandermonde_terms,
 )
+from tnomial.report import sweep
 from tnomial.rings import BiPoly, QuadElem, XSeries
 from tnomial.sequences import SeqParams
 from tnomial.suites import pq_grid
@@ -124,6 +125,78 @@ def binomial_like_expected(n, form, p, q, coeff):
 
     by_k = [q ** c2(k) * p ** (c2(k) if form == "y_weights" else c2(n - k)) * coeff(n, k) for k in range(n + 1)]
     return by_k[::-1]
+
+
+def _c2(k):
+    return k * (k - 1) // 2
+
+
+P, Q = BiPoly.var_p(), BiPoly.var_q()
+
+# identity: (call, weight, entry, position). Coefficient k of the expansion
+# is weight(p, q, k) * C(entry(k)) and sits at ``position(k)`` of the
+# returned series (binomial_like carries y**k on x**(5-k)).
+CORRUPTED = {
+    "subset-gf": (
+        lambda params: expand_subset_gf(5, params),
+        lambda p, q, k: (-1) ** k * (p * q) ** _c2(k),
+        lambda k: (5, k),
+        lambda k: k,
+    ),
+    "multiset-gf": (
+        lambda params: expand_multiset_gf(5, 4, params),
+        lambda p, q, k: 1,
+        lambda k: (5 + k - 1, k),
+        lambda k: k,
+    ),
+    "split-gf": (
+        lambda params: expand_split_gf(5, params),
+        lambda p, q, k: (-1) ** k * q ** _c2(k) * p ** _c2(5 - k),
+        lambda k: (5, k),
+        lambda k: k,
+    ),
+    "binomial-like/y_weights": (
+        lambda params: binomial_like(5, "y_weights", params),
+        lambda p, q, k: q ** _c2(k) * p ** _c2(k),
+        lambda k: (5, k),
+        lambda k: 5 - k,
+    ),
+    "binomial-like/split": (
+        lambda params: binomial_like(5, "split", params),
+        lambda p, q, k: q ** _c2(k) * p ** _c2(5 - k),
+        lambda k: (5, k),
+        lambda k: 5 - k,
+    ),
+}
+
+
+class TestCorruptedCoefficients:
+    """Each expansion's returned coefficients, compared through ``sweep``
+    against their formula, in Z[p, q] and in Z: every coefficient agrees,
+    and with C off by one at k = 2 the sweep stops there with the exact
+    weighted entries."""
+
+    @pytest.mark.parametrize("identity", CORRUPTED)
+    @pytest.mark.parametrize("params", [None, params_23, SeqParams(-3, 2)], ids=["symbolic", "2,3", "-3,2"])
+    def test_violation_fields(self, identity, params):
+        call, weight, entry, position = CORRUPTED[identity]
+        if params is None:
+            p, q, coeff = P, Q, coeff_symbolic
+        else:
+            p, q, coeff = params.p, params.q, lambda n, k: coeff_recurrence(params, n, k)
+        series = call(params)
+
+        def points(shift):
+            for k in range(len(series.coefficients)):
+                rhs = weight(p, q, k) * (coeff(*entry(k)) + shift * (k == 2))
+                yield 5, k, series[position(k)], rhs
+
+        clean = sweep(identity, "", (5, 5), ("n", "k"), points(0))
+        assert (clean.status, clean.checked) == ("holds", len(series.coefficients))
+        report = sweep(identity, "", (5, 5), ("n", "k"), points(1))
+        w, true = weight(p, q, 2), coeff(*entry(2))
+        assert report.first_counterexample == {"n": 5, "k": 2, "lhs": w * true, "rhs": w * (true + 1)}
+        assert report.checked == 3
 
 
 class TestBinomialLike:
