@@ -33,7 +33,6 @@ from .coefficients import (
     coeff_symbolic,
     inverse_rows,
     multinomial,
-    set_cache_limit,
     triangle_rows,
 )
 from .errors import (
@@ -51,10 +50,9 @@ from .identities import (
     expand_subset_gf,
     fibonomial,
     fibonomial_suite,
-    gaussian_basis_check,
+    gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
-    orthogonality,
     vandermonde_terms,
 )
 from .oracles import (
@@ -80,7 +78,6 @@ from .rings import (
 )
 from .sequences import (
     SeqParams,
-    check_split_recurrence,
     compositions_of,
     gf_coefficients,
     term_closed,
@@ -109,7 +106,6 @@ __all__ = [
     "alpha_fibonacci",
     "binomial_like",
     "box_weights",
-    "check_split_recurrence",
     "coeff_factorial",
     "coeff_inverse",
     "coeff_lambda_multiset",
@@ -131,7 +127,7 @@ __all__ = [
     "expand_subset_gf",
     "fibonomial",
     "fibonomial_suite",
-    "gaussian_basis_check",
+    "gaussian_basis",
     "gaussian_explicit",
     "gaussian_inverse_entry",
     "geometric_series",
@@ -139,12 +135,10 @@ __all__ = [
     "inverse_rows",
     "invert_triangular",
     "multinomial",
-    "orthogonality",
     "pq_grid",
     "run_oracle",
     "run_verify",
     "series_product",
-    "set_cache_limit",
     "term_closed",
     "term_factorial",
     "term_sum",

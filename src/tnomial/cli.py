@@ -85,6 +85,8 @@ def _cmd_coeff(args: SimpleNamespace, out) -> int:
     if args.symbolic:
         if args.route != "recurrence":
             raise UsageError("--symbolic only makes sense with the default route")
+        if args.p is not None or args.q is not None:
+            raise UsageError("--p and --q do not apply to --symbolic")
         value = str(coeff_symbolic(args.n, args.k))
         keys = {"route": "symbolic"}
         row = (args.n, args.k, "", "", value)
@@ -192,6 +194,8 @@ def _verify_grid(args: SimpleNamespace) -> list[tuple[int, int]] | None:
 def _cmd_verify(args: SimpleNamespace, out) -> int:
     grid = _verify_grid(args)
     _check_bounds(args)
+    if grid is not None and args.identity in ("binomial", "fibonomial", "specializations"):
+        raise UsageError(f"--p, --q and --sample do not apply to the {args.identity} suite")
     if args.order is not None and args.identity not in ("gf", "all"):
         raise UsageError("--order only applies to the gf suite")
     if args.alpha is not None:

@@ -33,21 +33,8 @@ _lock = threading.Lock()
 _numeric_rows: dict[tuple[int, int], list[list[int]]] = {}
 _symbolic_rows: list[list[list[int]]] = [[[1]]]
 _symbolic_entries: dict[tuple[int, int], BiPoly] = {}
-_cache_limit = 128
+_CACHE_LIMIT = 128  # memoized rows per triangle; rows past it are rebuilt, not cached
 _MAX_PAIRS = 64
-
-
-def set_cache_limit(n_max: int) -> None:
-    """Bound the number of memoized triangle rows per parameter pair.
-
-    Queries above the bound still work; they just recompute rows instead
-    of caching them.
-    """
-    global _cache_limit
-    if n_max < 0:
-        raise ValueError("cache limit must be nonnegative")
-    with _lock:
-        _cache_limit = n_max
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -66,7 +53,7 @@ def _next_row(prev: list[int], p: int, q: int) -> list[int]:
 
 def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
     """The memoized rows of the (p, q) triangle, extended under ``_lock`` up
-    to row min(n, cache limit), and the index of the highest one <= n.
+    to row min(n, _CACHE_LIMIT), and the index of the highest one <= n.
 
     At most _MAX_PAIRS pairs stay cached: a new pair evicts the oldest.
     The rows list is shared and only ever appended to, so indices up to the
@@ -79,7 +66,7 @@ def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
             if len(_numeric_rows) >= _MAX_PAIRS:
                 del _numeric_rows[next(iter(_numeric_rows))]
             rows = _numeric_rows[(p, q)] = [[1]]
-        while len(rows) - 1 < min(n, _cache_limit):
+        while len(rows) - 1 < min(n, _CACHE_LIMIT):
             rows.append(_next_row(rows[-1], p, q))
         return rows, min(n, len(rows) - 1)
 
@@ -152,7 +139,7 @@ def _dense_row(n: int) -> list[list[int]]:
     the cache limit are memoized, rows past it rebuilt from the last one."""
     with _lock:
         rows = _symbolic_rows
-        while len(rows) - 1 < min(n, _cache_limit):
+        while len(rows) - 1 < min(n, _CACHE_LIMIT):
             rows.append(_next_row_dense(rows[-1]))
         row = rows[min(n, len(rows) - 1)]
     while len(row) - 1 < n:
@@ -176,7 +163,7 @@ def coeff_symbolic(n: int, k: int) -> BiPoly:
     dense = _dense_row(n)[k]
     degree = len(dense) - 1
     poly = BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
-    if n <= _cache_limit:
+    if n <= _CACHE_LIMIT:
         with _lock:
             _symbolic_entries[(n, k)] = poly
     return poly

@@ -128,43 +128,32 @@ def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = No
     return series_product(factors, n + 1, one=one)
 
 
-def orthogonality(params: SeqParams, n: int, s: int) -> bool:
-    """Check that the subset and multiset series annihilate each other.
+def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries, rows: list) -> list:
+    """The sums that vanish because the subset and multiset series of n are
+    inverse, as ``(check, value, expected)`` triples at s.
 
-    Expands both series to order s + 1, then evaluates the alternating
-    convolution sum_{k=0..s} (-1)**k (pq)**C(k,2) C(n, k) C(n+s-k-1, n-1)
-    directly, confirms coefficients 0 and s of the product of the expanded
-    series, and for s = n additionally evaluates the reversed arrangement
-    sum_{k=0..n} C(n+k-1, k) (-1)**(n-k) (pq)**C(n-k,2) C(n, k).
-    Returns False on any nonzero value.
+    On both series expanded to an order above s, and C read from ``rows``,
+    rows 0..n+s-1 or more of the triangle: the alternating convolution
+    sum_{k=0..s} (-1)**k (pq)**C(k,2) C(n, k) C(n+s-k-1, n-1) is 0,
+    coefficient 0 of the series product is 1 and coefficient s is 0, and
+    at s = n the reversed sum
+    sum_{k=0..n} C(n+k-1, k) (-1)**(n-k) (pq)**C(n-k,2) C(n, k) is 0.
     """
-    if n < 1 or s < 1:
-        raise ValueError("n and s must be positive")
-    subset = expand_subset_gf(n, params, s + 1)
-    multiset = expand_multiset_gf(n, s + 1, params)
-    return _orthogonal_at(params, n, s, subset, multiset, list(triangle_rows(params, n + s - 1)))
-
-
-def _orthogonal_at(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries, rows: list) -> bool:
-    """The checks of ``orthogonality`` at s, on the subset and multiset
-    series of n already expanded to an order above s, reading C from
-    ``rows``, rows 0..n+s-1 or more of the triangle."""
     p, q = params.p, params.q
     direct = sum(
         (-1) ** k * (p * q) ** _binom2(k) * rows[n][k] * rows[n + s - k - 1][n - 1]
         for k in range(min(n, s) + 1)  # C(n, k) = 0 for k > n
     )
-    ok = direct == 0
     # Coefficients 0 and s of the series product, without forming the rest.
     a, b = subset.coefficients, multiset.coefficients
-    ok = ok and a[0] * b[0] == 1
-    ok = ok and sum(map(mul, a[: s + 1], b[s::-1])) == 0
+    dot = sum(map(mul, a[: s + 1], b[s::-1]))
+    sums = [("convolution", direct, 0), ("product-0", a[0] * b[0], 1), ("product-s", dot, 0)]
     if s == n:
         reversed_form = sum(
             rows[n + k - 1][k] * (-1) ** (n - k) * (p * q) ** _binom2(n - k) * rows[n][k] for k in range(n + 1)
         )
-        ok = ok and reversed_form == 0
-    return ok
+        sums.append(("reversed", reversed_form, 0))
+    return sums
 
 
 def vandermonde_terms(params: SeqParams, n: int, m: int, k: int) -> tuple[int, int, int]:
@@ -294,29 +283,18 @@ def gaussian_inverse_entry(q_val: int, n: int, k: int) -> int:
     return (-1) ** (n - k) * q_val ** _binom2(n - k) * coeff_recurrence(SeqParams(1, q_val), n, k)
 
 
-def gaussian_basis_check(q_val: int, n: int) -> bool:
-    """Check the interpolation-basis expansions at p = 1.
+def gaussian_basis(q_val: int, n: int) -> tuple[XSeries, XSeries]:
+    """The interpolation-basis expansions at p = 1, both to order n + 1.
 
-    With Phi_k(x) = prod_{s=0..k-1} (x - q**s):
-    (a) expanding Phi_n gives the inverse-triangle entries
-        (-1)**(n-j) q**C(n-j,2) C(n, j) as x**j coefficients, and
-    (b) sum_{k=0..n} C(n, k) Phi_k(x) reassembles x**n exactly.
+    With Phi_k(x) = prod_{s=0..k-1} (x - q**s), returns Phi_n, whose x**j
+    coefficient is the inverse-triangle entry (-1)**(n-j) q**C(n-j,2) C(n, j),
+    and sum_{k=0..n} C(n, k) Phi_k(x), which is x**n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     params = SeqParams(1, q_val)
-    order = n + 1
-
-    def phi(k: int) -> XSeries:
-        return series_product([(-(q_val**s), 1) for s in range(k)], order, one=1)
-
-    phi_n = phi(n)
-    for j in range(n + 1):
-        if phi_n[j] != gaussian_inverse_entry(q_val, n, j):
-            return False
-
-    assembled = XSeries([0], order, zero=0)
+    assembled = XSeries([0], n + 1, zero=0)
     for k in range(n + 1):
-        assembled = assembled + phi(k).scale(coeff_recurrence(params, n, k))
-    monomial = XSeries([0] * n + [1], order, zero=0)
-    return assembled == monomial
+        phi = series_product([(-(q_val**s), 1) for s in range(k)], n + 1, one=1)
+        assembled = assembled + phi.scale(coeff_recurrence(params, n, k))
+    return phi, assembled

@@ -93,15 +93,6 @@ def gf_coefficients(params: SeqParams, count: int) -> list[int]:
     return [0] + [params.scale * c for c in prod.coefficients[:count]]
 
 
-def check_split_recurrence(params: SeqParams, k: int, m: int) -> bool:
-    """Does term(k + m) equal p**m * term(k) + q**k * term(m)?"""
-    if k < 1 or m < 1:
-        raise ValueError("both split indices must be positive")
-    lhs = term_closed(params, k + m)
-    rhs = params.p**m * term_closed(params, k) + params.q**k * term_closed(params, m)
-    return lhs == rhs
-
-
 def compositions_of(n: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All compositions of n into exactly ``parts`` positive parts, each a
     tuple of its parts.

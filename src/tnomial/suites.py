@@ -32,14 +32,14 @@ from .coefficients import (
 from .errors import DegenerateParametersError
 from .identities import (
     _binom2,
-    _orthogonal_at,
+    _orthogonal_sums,
     _vandermonde_at,
     binomial_like,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
     fibonomial_suite,
-    gaussian_basis_check,
+    gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
 )
@@ -205,7 +205,8 @@ def _orthogonality_points(grid, n_max, s_max):
             multiset = expand_multiset_gf(n, s_max + 1, params)
             yield from _series_points(p, q, n, subset, multiset, rows)
             for s in range(1, s_max + 1):
-                yield p, q, n, "orthogonal", s, _orthogonal_at(params, n, s, subset, multiset, rows), True
+                for check, value, expected in _orthogonal_sums(params, n, s, subset, multiset, rows):
+                    yield p, q, n, check, s, value, expected
 
 
 def orthogonality_suite(
@@ -325,7 +326,10 @@ def _specialization_points(n_max):
                 # an exact Fraction, so a non-integral sum cannot equal C
                 explicit = gaussian_explicit(q_val, n, k)
                 yield "gaussian-explicit", 1, q_val, 1, n, k, explicit, coeff_recurrence(params, n, k)
-            yield "gaussian-basis", 1, q_val, 1, n, gaussian_basis_check(q_val, n), True
+            phi, assembled = gaussian_basis(q_val, n)
+            for k in range(n + 1):
+                yield "gaussian-phi", 1, q_val, 1, n, k, phi[k], gaussian_inverse_entry(q_val, n, k)
+                yield "gaussian-basis", 1, q_val, 1, n, k, assembled[k], int(k == n)
         for n, inverse in enumerate(_rows(inverse_rows, params, n_max)):
             for k, entry in enumerate(inverse):
                 yield "gaussian-inverse", 1, q_val, 1, n, k, entry, gaussian_inverse_entry(q_val, n, k)

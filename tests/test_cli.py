@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from tnomial import cli, coefficients
-from tnomial.coefficients import coeff_factorial, coeff_recurrence, set_cache_limit, triangle_rows
+from tnomial.coefficients import coeff_factorial, coeff_recurrence, triangle_rows
 from tnomial.report import IdentityReport
 from tnomial.sequences import SeqParams
 
@@ -89,6 +89,12 @@ class TestCoeff:
         )
         assert rc == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("pair", [("--p", "5", "--q", "7"), ("--p", "5"), ("--q", "7")])
+    def test_symbolic_with_pair_rejected(self, pair, capsys):
+        rc, out, err = run_cli("coeff", "--symbolic", "--n", "4", "--k", "2", *pair, capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: --p and --q do not apply to --symbolic\n"
 
     def test_degenerate_route_is_usage_error(self, capsys):
         rc, _, err = run_cli(
@@ -166,16 +172,13 @@ class TestTable:
     def test_rows_past_cache_limit_match_entries(self, fmt, capsys, monkeypatch):
         params = SeqParams(-3, 2)
         monkeypatch.delitem(coefficients._numeric_rows, (-3, 2), raising=False)
-        set_cache_limit(4)
-        try:
-            rc, out, _ = run_cli(
-                "table", "--p", "-3", "--q", "2", "--max", "9", "--format", fmt, capsys=capsys
-            )
-            expected = [
-                [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(10)
-            ]
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        rc, out, _ = run_cli(
+            "table", "--p", "-3", "--q", "2", "--max", "9", "--format", fmt, capsys=capsys
+        )
+        expected = [
+            [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(10)
+        ]
         assert rc == 0
         if fmt == "json":
             rows = json.loads(out)["rows"]
@@ -191,15 +194,12 @@ class TestTable:
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     def test_streamed_bytes_match_whole_document(self, fmt, n_max, capsys, monkeypatch):
         monkeypatch.delitem(coefficients._numeric_rows, (-3, 2), raising=False)
-        set_cache_limit(4)
-        try:
-            rc, out, _ = run_cli(
-                "table", "--p", "-3", "--q", "2", "--scale", "2", "--max", str(n_max), "--format", fmt,
-                capsys=capsys,
-            )
-            rows = list(triangle_rows(SeqParams(-3, 2), n_max))
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        rc, out, _ = run_cli(
+            "table", "--p", "-3", "--q", "2", "--scale", "2", "--max", str(n_max), "--format", fmt,
+            capsys=capsys,
+        )
+        rows = list(triangle_rows(SeqParams(-3, 2), n_max))
         assert rc == 0
         if fmt == "json":
             payload = {"p": "-3", "q": "2", "rows": [[str(value) for value in row] for row in rows], "scale": "2"}
@@ -218,11 +218,8 @@ class TestTable:
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         monkeypatch.delitem(coefficients._numeric_rows, (5, -7), raising=False)
-        set_cache_limit(4)
-        try:
-            rc, _, _ = run_cli("table", "--p", "5", "--q", "-7", "--max", "20", capsys=capsys)
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        rc, _, _ = run_cli("table", "--p", "5", "--q", "-7", "--max", "20", capsys=capsys)
         assert rc == 0
         assert built == list(range(1, 21))
 
@@ -322,6 +319,31 @@ class TestVerify:
         )
         assert rc == 0
         assert "k_max=3," in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--identity", "binomial", "--p", "2", "--q", "3"),
+            ("--identity", "specializations", "--sample", "3"),
+            ("--identity", "fibonomial", "--alpha", "2", "--p", "2", "--q", "3"),
+            ("--identity", "fibonomial", "--sample", "3", "--seed", "4"),
+        ],
+    )
+    def test_grid_rejected_by_suites_without_one(self, argv, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("no suite may run")
+
+        monkeypatch.setattr(cli, "run_verify", fail)
+        monkeypatch.setattr(cli, "fibonomial_reports", fail)
+        rc, out, err = run_cli("verify", *argv, capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --p, --q and --sample do not apply to the {argv[1]} suite\n"
+
+    def test_all_accepts_a_pair(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_verify", lambda *args: calls.append(args) or [])
+        rc, _, err = run_cli("verify", "--p", "2", "--q", "3", capsys=capsys)
+        assert (rc, err, calls) == (0, "", [("all", [(2, 3)], None, None)])
 
     def test_half_specified_grid_rejected(self, capsys):
         rc, _, err = run_cli("verify", "--identity", "routes", "--p", "2", capsys=capsys)

@@ -33,7 +33,6 @@ from tnomial.coefficients import (
     multinomial,
     partial_fraction_column,
     product_row,
-    set_cache_limit,
     symbolic_row,
     triangle_rows,
 )
@@ -179,15 +178,12 @@ class TestInverseRoute:
                     assert coeff_inverse(params, n, k) == composition_sum_inverse(params, n, k), (p, q, n, k)
 
     @pytest.mark.parametrize("pq", [(2, 3), (-3, 2)])
-    def test_matches_forward_substitution_past_cache_limit(self, pq):
+    def test_matches_forward_substitution_past_cache_limit(self, pq, monkeypatch):
         params = SeqParams(*pq)
         order = 30
-        set_cache_limit(4)
-        try:
-            triangle = TriMatrix(tuple(tuple(row) for row in triangle_rows(params, order - 1)))
-            got = [[coeff_inverse(params, n, k) for k in range(n + 1)] for n in range(order)]
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        triangle = TriMatrix(tuple(tuple(row) for row in triangle_rows(params, order - 1)))
+        got = [[coeff_inverse(params, n, k) for k in range(n + 1)] for n in range(order)]
         assert invert_triangular(triangle).rows == tuple(tuple(row) for row in got)
 
     def test_one_pass_over_the_rows(self, monkeypatch):
@@ -200,12 +196,9 @@ class TestInverseRoute:
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         monkeypatch.delitem(coefficients._numeric_rows, (7, -5), raising=False)
-        set_cache_limit(4)
-        try:
-            # the composition sum would enumerate 2**39 compositions here
-            value = coeff_inverse(SeqParams(7, -5), 40, 0)
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        # the composition sum would enumerate 2**39 compositions here
+        value = coeff_inverse(SeqParams(7, -5), 40, 0)
         assert built == list(range(1, 41))
         assert value != 0
 
@@ -261,12 +254,9 @@ class TestRewrittenRoutesAgainstReferences:
     def test_recurrence_windows_past_cache_limit(self, pq, monkeypatch):
         params = SeqParams(*pq)
         monkeypatch.delitem(coefficients._numeric_rows, pq, raising=False)
-        set_cache_limit(4)
-        try:
-            rows = list(triangle_rows(params, 40))
-            got = [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(41)]
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        rows = list(triangle_rows(params, 40))
+        got = [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(41)]
         assert got == rows
         assert got[12] == [full_row_recurrence(params, 12, k) for k in range(13)]
 
@@ -280,11 +270,8 @@ class TestRewrittenRoutesAgainstReferences:
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         monkeypatch.delitem(coefficients._numeric_rows, (2, 3), raising=False)
-        set_cache_limit(4)
-        try:
-            values = [coeff_recurrence(params_23, 400, k) for k in (0, 1, 399)]
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        values = [coeff_recurrence(params_23, 400, k) for k in (0, 1, 399)]
         assert values == [1, term_closed(params_23, 400), term_closed(params_23, 400)]
         assert built == [1, 2, 3, 4]
 
@@ -298,11 +285,8 @@ class TestRewrittenRoutesAgainstReferences:
         monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
         monkeypatch.setattr(coefficients, "_symbolic_entries", {})
         rows = sparse_symbolic_rows(14)
-        set_cache_limit(4)
-        try:
-            got = [[coeff_symbolic(n, k) for k in range(n + 1)] for n in range(15)]
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        got = [[coeff_symbolic(n, k) for k in range(n + 1)] for n in range(15)]
         assert got == rows
         assert len(coefficients._symbolic_rows) == 5
         assert max(n for n, _ in coefficients._symbolic_entries) == 4
@@ -503,32 +487,26 @@ class TestErrorsAndCache:
         with pytest.raises(ValueError):
             coeff_recurrence(params_23, -1, 0)
 
-    def test_queries_beyond_cache_limit_still_correct(self):
-        set_cache_limit(4)
-        try:
-            assert coeff_recurrence(params_23, 10, 5) == coeff_factorial(params_23, 10, 5)
-            assert coeff_symbolic(9, 4).eval(2, 3) == coeff_factorial(params_23, 9, 4)
-        finally:
-            set_cache_limit(128)
+    def test_queries_beyond_cache_limit_still_correct(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        assert coeff_recurrence(params_23, 10, 5) == coeff_factorial(params_23, 10, 5)
+        assert coeff_symbolic(9, 4).eval(2, 3) == coeff_factorial(params_23, 9, 4)
 
     def test_triangle_rows_across_cache_limit(self, monkeypatch):
         params = SeqParams(-3, 5)
         monkeypatch.delitem(coefficients._numeric_rows, (-3, 5), raising=False)
-        set_cache_limit(4)
-        try:
-            assert list(triangle_rows(params, 4)) == [
-                [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(5)
-            ]
-            cached = coefficients._numeric_rows[(-3, 5)]
-            snapshot = copy.deepcopy(cached)
-            rows = list(triangle_rows(params, 12))
-            assert rows == [
-                [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(13)
-            ]
-            assert cached == snapshot
-            assert len(cached) == 5
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        assert list(triangle_rows(params, 4)) == [
+            [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(5)
+        ]
+        cached = coefficients._numeric_rows[(-3, 5)]
+        snapshot = copy.deepcopy(cached)
+        rows = list(triangle_rows(params, 12))
+        assert rows == [
+            [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(13)
+        ]
+        assert cached == snapshot
+        assert len(cached) == 5
 
     def test_cached_pairs_stay_bounded(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_numeric_rows", {})
@@ -580,7 +558,7 @@ class TestErrorsAndCache:
 
         threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
         switch_interval = sys.getswitchinterval()
-        set_cache_limit(16)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 16)
         sys.setswitchinterval(1e-6)
         try:
             for thread in threads:
@@ -589,7 +567,6 @@ class TestErrorsAndCache:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(switch_interval)
-            set_cache_limit(128)
         assert not any(thread.is_alive() for thread in threads)
         rows = list(triangle_rows(params, 60))
         assert results == [[rows[n][k] for n, k in columns]] * 4
@@ -645,7 +622,7 @@ class TestErrorsAndCache:
 
         threads = [threading.Thread(target=read, args=(slot,)) for slot in range(4)]
         switch_interval = sys.getswitchinterval()
-        set_cache_limit(16)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 16)
         sys.setswitchinterval(1e-6)
         try:
             for thread in threads:
@@ -654,7 +631,6 @@ class TestErrorsAndCache:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(switch_interval)
-            set_cache_limit(128)
         assert not any(thread.is_alive() for thread in threads)
         rows = sparse_symbolic_rows(30)
         assert results == [[rows[n][k] for n, k in columns]] * 4
@@ -740,12 +716,9 @@ class TestRowForms:
     def test_symbolic_row_past_the_cache_limit(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
         monkeypatch.setattr(coefficients, "_symbolic_entries", {})
-        set_cache_limit(3)
-        try:
-            for p, q in ((2, 3), (0, 5), (-2, 0), (0, 0)):
-                for n in range(10):
-                    expected = [coeff_symbolic(n, k).eval(p, q) for k in range(n + 1)]
-                    assert symbolic_row(SeqParams(p, q), n) == expected
-            assert len(coefficients._symbolic_rows) == 4
-        finally:
-            set_cache_limit(128)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 3)
+        for p, q in ((2, 3), (0, 5), (-2, 0), (0, 0)):
+            for n in range(10):
+                expected = [coeff_symbolic(n, k).eval(p, q) for k in range(n + 1)]
+                assert symbolic_row(SeqParams(p, q), n) == expected
+        assert len(coefficients._symbolic_rows) == 4

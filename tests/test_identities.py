@@ -13,7 +13,7 @@ from tnomial import suites
 from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coeff_symbolic, triangle_rows
 from tnomial.errors import DegenerateParametersError
 from tnomial.identities import (
-    _orthogonal_at,
+    _orthogonal_sums,
     alpha_fibonacci,
     binomial_like,
     expand_multiset_gf,
@@ -21,10 +21,9 @@ from tnomial.identities import (
     expand_subset_gf,
     fibonomial,
     fibonomial_suite,
-    gaussian_basis_check,
+    gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
-    orthogonality,
     vandermonde_terms,
 )
 from tnomial.report import sweep
@@ -221,9 +220,10 @@ class TestBinomialLike:
 
 
 class TestOrthogonality:
-    @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 7), st.integers(1, 7))
-    def test_holds(self, p, q, n, s):
-        assert orthogonality(SeqParams(p, q), n, s)
+    @given(st.integers(-3, 3), st.integers(-3, 3))
+    def test_holds(self, p, q):
+        report = suites.orthogonality_suite([(p, q)], 7, 7)
+        assert report.holds, report.first_counterexample
 
     def test_dot_product_is_series_coefficient(self):
         # orthogonality reads coefficient s of the product as one dot product.
@@ -238,7 +238,8 @@ class TestOrthogonality:
 
     def test_equals_the_check_on_series_expanded_once(self):
         # the orthogonality suite expands each n's series once, to order 9,
-        # and reads rows 0..15 of the triangle once per pair
+        # and reads rows 0..15 of the triangle once per pair; the sums are
+        # those on series to order s + 1 and rows 0..n+s-1
         for p, q in pq_grid():
             params = SeqParams(p, q)
             rows = list(triangle_rows(params, 15))
@@ -246,12 +247,32 @@ class TestOrthogonality:
                 subset = expand_subset_gf(n, params, 9)
                 multiset = expand_multiset_gf(n, 9, params)
                 for s in range(1, 9):
-                    expected = _orthogonal_at(params, n, s, subset, multiset, rows)
-                    assert orthogonality(params, n, s) is expected, (p, q, n, s)
+                    expected = _orthogonal_sums(
+                        params, n, s, expand_subset_gf(n, params, s + 1), expand_multiset_gf(n, s + 1, params),
+                        list(triangle_rows(params, n + s - 1)),
+                    )
+                    assert _orthogonal_sums(params, n, s, subset, multiset, rows) == expected, (p, q, n, s)
+
+    def test_sums_at_one_point(self):
+        params = SeqParams(2, 3)
+        rows = [list(row) for row in triangle_rows(params, 4)]
+        series = expand_subset_gf(2, params, 4), expand_multiset_gf(2, 4, params)
+        assert _orthogonal_sums(params, 2, 2, *series, rows) == [
+            ("convolution", 0, 0), ("product-0", 1, 1), ("product-s", 0, 0), ("reversed", 0, 0),
+        ]
+        # off the true triangle each sum shows its own value
+        rows[4][1] += 1
+        assert _orthogonal_sums(params, 2, 3, *series, rows) == [
+            ("convolution", 1, 0), ("product-0", 1, 1), ("product-s", 0, 0),
+        ]
+        # and off the true series too
+        assert _orthogonal_sums(params, 2, 1, series[0].scale(2), series[1], rows) == [
+            ("convolution", 0, 0), ("product-0", 2, 1), ("product-s", 0, 0),
+        ]
 
     def test_row_reading_equals_the_point_wise_form(self):
         # On the true triangle and on triangles with one entry off by one, the
-        # check on rows reads the entries the point-wise check reads.
+        # sums on rows read the entries the point-wise sums read.
         refuted = 0
         for p, q in pq_grid():
             params = SeqParams(p, q)
@@ -263,15 +284,15 @@ class TestOrthogonality:
                     corrupted[corrupt[0]][corrupt[1]] += 1
                 for n in range(1, 9):
                     for s in range(1, 9):
-                        got = _orthogonal_at(params, n, s, *series[n], corrupted)
-                        reference = _point_wise_orthogonal_at(params, n, s, *series[n], corrupted)
-                        assert got is reference, (p, q, corrupt, n, s)
-                        refuted += not got
+                        got = _orthogonal_sums(params, n, s, *series[n], corrupted)
+                        reference = _point_wise_orthogonal_sums(params, n, s, *series[n], corrupted)
+                        assert got == reference, (p, q, corrupt, n, s)
+                        refuted += any(value != expected for _, value, expected in got)
         assert refuted > 1000
 
 
-def _point_wise_orthogonal_at(params, n, s, subset, multiset, rows):
-    """The orthogonality checks at s as written entry by entry, with one
+def _point_wise_orthogonal_sums(params, n, s, subset, multiset, rows):
+    """The orthogonality sums at s as written entry by entry, with one
     single-entry read ``coeff(n, k)`` per C(n, k) where the form before
     row reading called ``coeff_recurrence``; the entries come from ``rows``
     so that a corrupted triangle reaches both forms."""
@@ -284,15 +305,18 @@ def _point_wise_orthogonal_at(params, n, s, subset, multiset, rows):
         (-1) ** k * (p * q) ** ((k * (k - 1)) // 2) * coeff(n, k) * coeff(n + s - k - 1, n - 1)
         for k in range(min(n, s) + 1)
     )
-    ok = direct == 0 and subset[0] * multiset[0] == 1
-    ok = ok and sum(subset[i] * multiset[s - i] for i in range(s + 1)) == 0
+    sums = [
+        ("convolution", direct, 0),
+        ("product-0", subset[0] * multiset[0], 1),
+        ("product-s", sum(subset[i] * multiset[s - i] for i in range(s + 1)), 0),
+    ]
     if s == n:
         reversed_form = sum(
             coeff(n + k - 1, k) * (-1) ** (n - k) * (p * q) ** (((n - k) * (n - k - 1)) // 2) * coeff(n, k)
             for k in range(n + 1)
         )
-        ok = ok and reversed_form == 0
-    return ok
+        sums.append(("reversed", reversed_form, 0))
+    return sums
 
 
 def _point_wise_vandermonde_terms(params, n, m, k):
@@ -423,7 +447,20 @@ class TestGaussian:
     def test_inverse_entries(self):
         assert [gaussian_inverse_entry(2, 4, k) for k in range(5)] == [64, -120, 70, -15, 1]
 
+    def test_basis_at_one_point(self):
+        # Phi_3 = (x - 1)(x - 2)(x - 4) = x**3 - 7x**2 + 14x - 8
+        phi, assembled = gaussian_basis(2, 3)
+        assert phi.coefficients == (-8, 14, -7, 1)
+        assert assembled.coefficients == (0, 0, 0, 1)
+        assert [series.coefficients for series in gaussian_basis(3, 0)] == [(1,), (1,)]
+
     def test_power_basis_conversion(self):
-        for q_val in (2, 3):
-            for n in range(6):
-                assert gaussian_basis_check(q_val, n) is True
+        for q_val in (2, 3, -2):
+            for n in range(7):
+                phi, assembled = gaussian_basis(q_val, n)
+                assert list(phi.coefficients) == [gaussian_inverse_entry(q_val, n, j) for j in range(n + 1)]
+                assert list(assembled.coefficients) == [int(j == n) for j in range(n + 1)]
+
+    def test_basis_rejects_negative_n(self):
+        with pytest.raises(ValueError):
+            gaussian_basis(2, -1)

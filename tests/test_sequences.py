@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tnomial.sequences import (
     SeqParams,
-    check_split_recurrence,
     compositions_of,
     gf_coefficients,
     term_closed,
@@ -101,14 +100,6 @@ class TestSplitRecurrence:
         lhs = term_closed(params, k + m)
         rhs = p**m * term_closed(params, k) + q**k * term_closed(params, m)
         assert lhs == rhs
-
-    @given(param_ints, param_ints, st.integers(1, 8), st.integers(1, 8))
-    def test_checker_agrees(self, p, q, k, m):
-        assert check_split_recurrence(SeqParams(p, q), k, m)
-
-    def test_checker_rejects_zero_indices(self):
-        with pytest.raises(ValueError):
-            check_split_recurrence(params_23, 0, 3)
 
 
 class TestCompositions:

@@ -11,6 +11,7 @@ import pytest
 
 from tnomial import coefficients, identities, oracles, suites
 from tnomial.report import IdentityReport
+from tnomial.rings import XSeries
 from tnomial.sequences import SeqParams
 from tnomial.suites import (
     IDENTITY_SUITES,
@@ -92,12 +93,24 @@ def test_orthogonality_violation_is_a_failing_point(monkeypatch):
     corrupt_triangle_rows(monkeypatch, 3, 2)
     report = orthogonality_suite([(2, 3)], 4, 4)
     assert report.status == "fails"
-    # n = 1: 5 + 5 series coefficients and 4 sums pass; n = 2: 5 subset
-    # coefficients pass, and its multiset coefficient 2 reads C(3, 2)
-    assert report.checked == 22
+    # n = 1: 5 + 5 series coefficients and 3 sums at each s, plus the
+    # reversed sum at s = 1, pass; n = 2: 5 subset coefficients pass, and
+    # its multiset coefficient 2 reads C(3, 2)
+    assert report.checked == 31
     assert report.first_counterexample == {
         "p": 2, "q": 3, "n": 2, "check": "multiset-gf", "k": 2, "lhs": 19, "rhs": 20,
     }
+
+
+def test_orthogonality_sums_are_points_of_their_own(monkeypatch):
+    # C(4, 1) is read first by the convolution sum of n = 2 at s = 3, whose
+    # value, not a folded verdict, is the counterexample
+    corrupt_triangle_rows(monkeypatch, 4, 1)
+    report = orthogonality_suite([(2, 3)])
+    assert report.first_counterexample == {"p": 2, "q": 3, "n": 2, "check": "convolution", "k": 3, "lhs": 1, "rhs": 0}
+    # n = 1: 9 + 9 coefficients and 3 * 8 + 1 sums; n = 2: 18 coefficients,
+    # 3 sums at s = 1, 4 at s = 2 and the failing one at s = 3
+    assert report.checked == 43 + 18 + 3 + 4 + 1
 
 
 GF_KEYS = ("p", "q", "n", "check", "k", "lhs", "rhs")
@@ -158,8 +171,9 @@ def test_orthogonality_expands_each_series_once_per_n(monkeypatch):
             monkeypatch.setattr(module, name, counting)
     report = orthogonality_suite([(2, 3)], 5, 7)
     assert calls == {"expand_subset_gf": 5, "expand_multiset_gf": 5}
-    # per n: 8 subset and 8 multiset coefficients, and one point per s
-    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=115)
+    # per n: 8 subset and 8 multiset coefficients, 3 sums per s and the
+    # reversed sum at s = n
+    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=190)
 
 
 def count_calls(monkeypatch, function) -> list[tuple]:
@@ -276,7 +290,7 @@ def test_gf_orthogonality_and_vandermonde_read_reference_rows(monkeypatch):
     reports = gf_suite(), orthogonality_suite(), vandermonde_suite()
     assert calls == []
     assert [(report.status, report.checked) for report in reports] == [
-        ("holds", 10927), ("holds", 10192), ("holds", 1944)
+        ("holds", 10927), ("holds", 16856), ("holds", 1944)
     ]
 
 
@@ -285,7 +299,7 @@ def test_specializations_read_each_unscaled_row_once(monkeypatch):
     report = specialization_suite()
     assert len(calls) == 270
     assert all(params.scale in (2, 3) for params, _, _ in calls)
-    assert (report.status, report.checked) == ("holds", 790)
+    assert (report.status, report.checked) == ("holds", 888)
 
 
 def test_fibonomial_suite_builds_its_factorials_once(monkeypatch):
@@ -307,3 +321,27 @@ def test_specializations_compare_the_exact_gaussian_sum(monkeypatch):
     assert report.first_counterexample == {
         "case": "gaussian-explicit", "p": 1, "q": 3, "scale": 1, "n": 4, "k": 2, "lhs": Fraction(261, 2), "rhs": 130,
     }
+
+
+@pytest.mark.parametrize(
+    "series, case, location",
+    [(0, "gaussian-phi", (2, 4, 1)), (0, "gaussian-phi", (3, 2, 0)), (1, "gaussian-basis", (3, 5, 5)),
+     (1, "gaussian-basis", (2, 6, 0))],
+)
+def test_specializations_compare_every_gaussian_basis_coefficient(monkeypatch, series, case, location):
+    basis = identities.gaussian_basis
+
+    def off_by_one(q_val, n):
+        expansions = list(basis(q_val, n))
+        if (q_val, n) == location[:2]:
+            k = location[2]
+            expansions[series] = expansions[series] + XSeries([0] * k + [1], n + 1, zero=0)
+        return tuple(expansions)
+
+    monkeypatch.setattr(suites, "gaussian_basis", off_by_one)
+    report = specialization_suite()
+    failed = {key: report.first_counterexample[key] for key in ("case", "q", "n", "k", "rhs")}
+    q_val, n, k = location
+    rhs = identities.gaussian_inverse_entry(q_val, n, k) if series == 0 else int(k == n)
+    assert failed == {"case": case, "q": q_val, "n": n, "k": k, "rhs": rhs}
+    assert report.first_counterexample["lhs"] == rhs + 1
