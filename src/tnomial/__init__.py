@@ -49,7 +49,6 @@ from .identities import (
     expand_split_gf,
     expand_subset_gf,
     fibonomial,
-    fibonomial_suite,
     gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
@@ -64,7 +63,6 @@ from .oracles import (
     count_selections,
     enumeration_budget,
     invert_triangular,
-    verify_inverse_relation,
     volume_ratio,
 )
 from .report import IdentityReport
@@ -85,7 +83,7 @@ from .sequences import (
     term_sum,
     term_symbolic,
 )
-from .suites import pq_grid, run_oracle, run_verify
+from .suites import fibonomial_suite, pq_grid, run_oracle, run_verify, verify_inverse_relation
 
 __version__ = "0.1.0"
 

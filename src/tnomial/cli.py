@@ -17,7 +17,6 @@ over its budget (``BudgetExceededError``).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import sys
@@ -36,7 +35,6 @@ from .sequences import SeqParams
 from .suites import (
     IDENTITY_SUITES,
     ORACLE_SUITES,
-    fibonomial_reports,
     pq_grid,
     run_oracle,
     run_verify,
@@ -61,12 +59,10 @@ def _dump_json(payload: object) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _dump_csv(header: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+def _write_csv(header: tuple[str, ...], rows: Iterable[tuple], out) -> None:
+    writer = csv.writer(out)
     writer.writerow(header)
     writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _emit(text: str, out) -> None:
@@ -87,6 +83,8 @@ def _cmd_coeff(args: SimpleNamespace, out) -> int:
             raise UsageError("--symbolic only makes sense with the default route")
         if args.p is not None or args.q is not None:
             raise UsageError("--p and --q do not apply to --symbolic")
+        if args.scale != 1:
+            raise UsageError("--scale does not apply to --symbolic")
         value = str(coeff_symbolic(args.n, args.k))
         keys = {"route": "symbolic"}
         row = (args.n, args.k, "", "", value)
@@ -98,7 +96,7 @@ def _cmd_coeff(args: SimpleNamespace, out) -> int:
     if args.format == "json":
         _emit(_dump_json({"k": str(args.k), "n": str(args.n), "value": value, **keys}), out)
     elif args.format == "csv":
-        _emit(_dump_csv(TABLE_COLUMNS, [row]), out)
+        _write_csv(TABLE_COLUMNS, [row], out)
     else:
         _emit(value, out)
     return 0
@@ -123,10 +121,8 @@ def _cmd_table(args: SimpleNamespace, out) -> int:
     if args.format == "json":
         _write_table_json(params, rows, out)
     elif args.format == "csv":
-        writer = csv.writer(out)
-        writer.writerow(TABLE_COLUMNS)
-        for n, row in enumerate(rows):
-            writer.writerows((n, k, params.p, params.q, decimal_str(value)) for k, value in enumerate(row))
+        cells = ((n, k, params.p, params.q, decimal_str(v)) for n, row in enumerate(rows) for k, v in enumerate(row))
+        _write_csv(TABLE_COLUMNS, cells, out)
     else:
         rows = list(rows)
         # The widest cell holds the largest or the most negative value.
@@ -164,7 +160,7 @@ def _emit_reports(reports: list[IdentityReport], fmt: str, out) -> int:
             d["counterexample"] = "" if d["counterexample"] is None else _dump_json(d["counterexample"])
             d["notes"] = "; ".join(d["notes"])
             rows.append(tuple(d[column] for column in REPORT_COLUMNS))
-        _emit(_dump_csv(REPORT_COLUMNS, rows), out)
+        _write_csv(REPORT_COLUMNS, rows, out)
     else:
         for report in reports:
             for line in _report_lines(report):
@@ -182,13 +178,15 @@ def _check_bounds(args: SimpleNamespace) -> None:
 def _verify_grid(args: SimpleNamespace) -> list[tuple[int, int]] | None:
     if (args.p is None) != (args.q is None):
         raise UsageError("--p and --q must be given together")
+    if args.sample is None:
+        if args.seed is not None:
+            raise UsageError("--seed only applies with --sample")
+        return None if args.p is None else [(args.p, args.q)]
     if args.p is not None:
-        return [(args.p, args.q)]
-    if args.sample is not None:
-        if args.sample < 1:
-            raise UsageError("--sample must be positive")
-        return sample_grid(pq_grid(), args.sample, args.seed)
-    return None
+        raise UsageError("--sample does not apply with --p and --q")
+    if args.sample < 1:
+        raise UsageError("--sample must be positive")
+    return sample_grid(pq_grid(), args.sample, args.seed or 0)
 
 
 def _cmd_verify(args: SimpleNamespace, out) -> int:
@@ -198,12 +196,9 @@ def _cmd_verify(args: SimpleNamespace, out) -> int:
         raise UsageError(f"--p, --q and --sample do not apply to the {args.identity} suite")
     if args.order is not None and args.identity not in ("gf", "all"):
         raise UsageError("--order only applies to the gf suite")
-    if args.alpha is not None:
-        if args.identity != "fibonomial":
-            raise UsageError("--alpha only applies to the fibonomial suite")
-        reports = fibonomial_reports((args.alpha,), 10 if args.max is None else args.max)
-    else:
-        reports = run_verify(args.identity, grid, args.max, args.order)
+    if args.alpha is not None and args.identity != "fibonomial":
+        raise UsageError("--alpha only applies to the fibonomial suite")
+    reports = run_verify(args.identity, grid, args.max, args.order, args.alpha)
     return _emit_reports(reports, args.format, out)
 
 
@@ -243,7 +238,7 @@ _COMMANDS = {
         "order": {"type": int, "help": "series truncation order where applicable"},
         "alpha": {"type": int, "help": "fibonomial recurrence multiplier"},
         "sample": {"type": int, "help": "randomly subsample the parameter grid"},
-        "seed": {"type": int, "default": 0, "help": "sampling seed (default 0)"},
+        "seed": {"type": int, "help": "sampling seed (default 0)"},
         "format": _FORMAT,
     }),
     "oracle": ("cross-check against brute-force counts", _cmd_oracle, {

@@ -1,4 +1,4 @@
-"""Expansion and verification of the coefficient identities.
+"""Expansions and closed forms behind the coefficient identities.
 
 Three families of product generating functions tie the coefficients to
 the box weights w_i = q**(i-1) * p**(n-i):
@@ -15,8 +15,8 @@ linear forms in (x, y), the orthogonality of the subset and multiset
 series (their product is 1), a Vandermonde-style convolution in two
 exponent variants, an alternating partial-fraction sum that collapses to
 1, and the classical specializations: Gaussian coefficients with their
-interpolation basis, and generalized Fibonomial coefficients checked
-inside the quadratic ring Z[t]/(t^2 - alpha*t - 1).
+interpolation basis, and generalized Fibonomial coefficients, which the
+suites check inside the quadratic ring Z[t]/(t^2 - alpha*t - 1).
 
 Each product is written once, over a ring given by ``one``, ``p`` and ``q``:
 Z at a parameter pair, Z[p, q], or Z[t]/(t^2 - alpha*t - 1) at (p, q) =
@@ -28,13 +28,11 @@ each coefficient against the triangle, one sweep point per coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from operator import mul
 
 from .coefficients import coeff_recurrence, triangle_rows
 from .errors import DegenerateParametersError
-from .report import IdentityReport, sweep
-from .rings import BiPoly, QuadElem, XSeries, exact_div, series_product
+from .rings import BiPoly, XSeries, exact_div, series_product
 from .sequences import SeqParams
 
 
@@ -207,49 +205,6 @@ def fibonomial(alpha: int, n: int, k: int) -> int:
         factorials.append(factorials[-1] * cur)
         prev, cur = cur, alpha * cur + prev
     return exact_div(factorials[n], factorials[k] * factorials[n - k])
-
-
-def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
-    """Verify the Fibonomial identity family up to n_max.
-
-    (a) sequence splitting: f(k+m) = f(m-1) f(k) + f(k+1) f(m);
-    (b) triangle recurrence: C(n,k) = f(n-k-1) C(n-1,k-1) + f(k+1) C(n-1,k)
-        against the factorial ratio;
-    (c) in Z[t]/(t^2 - alpha*t - 1), with u = t and v = alpha - t, the
-        product prod_{s=1..n} (1 - v**(s-1) u**(n-s) x) expands with
-        t-free coefficients equal to (-1)**C(k+1,2) C(n, k).
-    """
-    if alpha < 1 or n_max < 0:
-        raise ValueError("alpha must be positive and n_max nonnegative")
-    points = _fibonomial_points(alpha, n_max)
-    return sweep("fibonomial", f"alpha={alpha}", (n_max, n_max), ("n", "k"), points)
-
-
-def _fibonomial_points(alpha: int, n_max: int):
-    fib = [alpha_fibonacci(alpha, i) for i in range(n_max + 2)]
-    factorials = list(accumulate(fib[1 : n_max + 1], mul, initial=1))  # f(1)...f(i) at i
-
-    def coefficient(n: int, k: int) -> int:  # fibonomial(alpha, n, k), off one factorial list
-        return exact_div(factorials[n], factorials[k] * factorials[n - k])
-
-    for n in range(2, n_max + 1):
-        for k in range(1, n):
-            m = n - k
-            yield n, k, fib[n], fib[m - 1] * fib[k] + fib[k + 1] * fib[m]
-
-    for n in range(1, n_max + 1):
-        for k in range(1, n):
-            m = n - k
-            recurrence = fib[m - 1] * coefficient(n - 1, k - 1) + fib[k + 1] * coefficient(n - 1, k)
-            yield n, k, coefficient(n, k), recurrence
-
-    u, v, one = QuadElem.root(alpha), QuadElem.conjugate_root(alpha), QuadElem.from_int(1, alpha)
-    for n in range(1, n_max + 1):
-        # the subset product at (p, q) = (u, v) = (t, alpha - t)
-        series = series_product(_box_factors(one, u, v, n), n + 1, one=one)
-        for k in range(n + 1):
-            # a QuadElem equals an int only when it is t-free
-            yield n, k, series[k], (-1) ** _binom2(k + 1) * coefficient(n, k)
 
 
 def gaussian_explicit(q_val: int, n: int, k: int) -> Fraction:

@@ -4,7 +4,7 @@ Everything here counts or computes by direct enumeration or plain exact
 linear algebra, deliberately avoiding the coefficient formulas, so that
 agreement between an oracle and a formula route is evidence rather than
 tautology.  Only the exact-arithmetic cores and the sequence term
-functions are imported at module scope.
+functions are imported; the suites pair each oracle with the formulas.
 
 Enumerations carry hard input caps plus a global budget on the number of
 enumerated objects, configurable through the TNOMIAL_MAX_BUDGET
@@ -22,7 +22,6 @@ from operator import mul
 from typing import Callable
 
 from .errors import BudgetExceededError, SingularMatrixError
-from .report import IdentityReport, sweep
 from .rings import exact_div
 from .sequences import SeqParams, term_closed
 
@@ -259,27 +258,3 @@ def volume_ratio(seq: SeqParams | Callable[[int], int], k: int, n: int) -> int:
     numerator = prod(term(s) for s in range(k, n + 1))
     denominator = prod(term(s) for s in range(1, m + 1))
     return exact_div(numerator, denominator)
-
-
-def verify_inverse_relation(p_val: int, n_max: int) -> IdentityReport:
-    """Check the diagonal-case inverse against the acyclic-digraph counts:
-    inverse entry (n, k) must equal (-1)**(n-k) * a(n-k) * comb(n, k) *
-    p**(k*(n-k)), with a() from the inclusion-exclusion recurrence."""
-    if p_val < 2:
-        raise ValueError("p_val must be at least 2")
-    if n_max < 0 or n_max > 8:
-        raise ValueError("n_max capped at 8")
-    points = _inverse_relation_points(p_val, n_max)
-    return sweep("inverse-relation", f"p=q={p_val}", (n_max, n_max), ("n", "k"), points)
-
-
-def _inverse_relation_points(p_val: int, n_max: int):
-    # Imported here so the enumeration code paths above stay independent
-    # of the coefficient formulas; this generator pairs the two.
-    from .coefficients import inverse_rows
-
-    dag_counts = [count_acyclic_multidigraphs_recurrence(p_val, r) for r in range(n_max + 1)]
-    for n, row in enumerate(inverse_rows(SeqParams(p_val, p_val), n_max)):
-        for k, entry in enumerate(row):
-            expected = (-1) ** (n - k) * dag_counts[n - k] * comb(n, k) * p_val ** (k * (n - k))
-            yield n, k, entry, expected

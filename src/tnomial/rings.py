@@ -31,7 +31,31 @@ def _pow_str(var: str, exp: int) -> str:
     return f"{var}^{exp}"
 
 
-class BiPoly:
+class _RingElement:
+    """Subtraction and powers from a ring element's own ``+``, unary ``-``
+    and ``*``; each subclass keeps its own ``__mul__``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            raise ValueError("negative power of a ring element")
+        result, base = self * 0 + 1, self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result
+
+
+class BiPoly(_RingElement):
     """Polynomial in the two indeterminates p and q with integer coefficients.
 
     Sparse representation: a map from exponent pairs ``(i, j)``, standing
@@ -109,15 +133,6 @@ class BiPoly:
     def __neg__(self) -> BiPoly:
         return BiPoly({exp: -coeff for exp, coeff in self._terms.items()})
 
-    def __sub__(self, other: BiPoly | int) -> BiPoly:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: int) -> BiPoly:
-        return (-self) + other
-
     def __mul__(self, other: BiPoly | int) -> BiPoly:
         if isinstance(other, int):
             return BiPoly({exp: coeff * other for exp, coeff in self._terms.items()} if other else None)
@@ -135,19 +150,6 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> BiPoly:
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = BiPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
@@ -193,7 +195,7 @@ class BiPoly:
         return f"BiPoly({self._terms!r})"
 
 
-class QuadElem:
+class QuadElem(_RingElement):
     """Element a + b*t of the quadratic integer ring Z[t]/(t^2 - alpha*t - 1).
 
     t is the image of the larger root (alpha + sqrt(alpha^2 + 4)) / 2 and
@@ -247,17 +249,6 @@ class QuadElem:
     def __neg__(self) -> QuadElem:
         return QuadElem(-self.a, -self.b, self.alpha)
 
-    def __sub__(self, other: QuadElem | int) -> QuadElem:
-        if isinstance(other, int):
-            return QuadElem(self.a - other, self.b, self.alpha)
-        if not isinstance(other, QuadElem):
-            return NotImplemented
-        self._check(other)
-        return QuadElem(self.a - other.a, self.b - other.b, self.alpha)
-
-    def __rsub__(self, other: int) -> QuadElem:
-        return (-self) + other
-
     def __mul__(self, other: QuadElem | int) -> QuadElem:
         if isinstance(other, int):
             return QuadElem(self.a * other, self.b * other, self.alpha)
@@ -273,19 +264,6 @@ class QuadElem:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> QuadElem:
-        if exponent < 0:
-            raise ValueError("negative power in the quadratic ring")
-        result = QuadElem.from_int(1, self.alpha)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def conjugate(self) -> QuadElem:
         """Ring conjugate: swaps t and alpha - t."""

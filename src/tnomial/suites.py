@@ -5,15 +5,17 @@ index range and yields one ``(*location, lhs, rhs)`` tuple per exact
 comparison, computing each side only when the sweep asks for the next
 point.  Its public wrapper hands the generator to ``report.sweep``, which
 compares the pairs, stops at the first mismatch, counts what it compared
-and decides the report's status.  The CLI and the acceptance tests both
-run through the public wrappers.
+and decides the report's status.  No other module runs a sweep.  The CLI
+and the acceptance tests both run through the public wrappers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from .coefficients import (
     coeff_factorial,
@@ -32,13 +34,14 @@ from .coefficients import (
 from .errors import DegenerateParametersError
 from .identities import (
     _binom2,
+    _box_factors,
     _orthogonal_sums,
     _vandermonde_at,
+    alpha_fibonacci,
     binomial_like,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
-    fibonomial_suite,
     gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
@@ -51,11 +54,10 @@ from .oracles import (
     count_bipartite_multigraphs,
     count_selections,
     invert_triangular,
-    verify_inverse_relation,
     volume_ratio,
 )
 from .report import IdentityReport, sweep
-from .rings import BiPoly, XSeries
+from .rings import BiPoly, QuadElem, XSeries, exact_div, series_product
 from .sequences import SeqParams, term_closed
 
 DEFAULT_GRID_LO = -2
@@ -308,6 +310,49 @@ def inversion_suite(grid: list[tuple[int, int]] | None = None, order: int = 8) -
     return sweep("inversion", _grid_label(grid), (order, order), keys, _inversion_points(grid, order))
 
 
+def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
+    """Verify the Fibonomial identity family up to n_max.
+
+    (a) sequence splitting: f(k+m) = f(m-1) f(k) + f(k+1) f(m);
+    (b) triangle recurrence: C(n,k) = f(n-k-1) C(n-1,k-1) + f(k+1) C(n-1,k)
+        against the factorial ratio;
+    (c) in Z[t]/(t^2 - alpha*t - 1), with u = t and v = alpha - t, the
+        product prod_{s=1..n} (1 - v**(s-1) u**(n-s) x) expands with
+        t-free coefficients equal to (-1)**C(k+1,2) C(n, k).
+    """
+    if alpha < 1 or n_max < 0:
+        raise ValueError("alpha must be positive and n_max nonnegative")
+    points = _fibonomial_points(alpha, n_max)
+    return sweep("fibonomial", f"alpha={alpha}", (n_max, n_max), ("n", "k"), points)
+
+
+def _fibonomial_points(alpha: int, n_max: int):
+    fib = [alpha_fibonacci(alpha, i) for i in range(n_max + 2)]
+    factorials = list(accumulate(fib[1 : n_max + 1], mul, initial=1))  # f(1)...f(i) at i
+
+    def coefficient(n: int, k: int) -> int:  # fibonomial(alpha, n, k), off one factorial list
+        return exact_div(factorials[n], factorials[k] * factorials[n - k])
+
+    for n in range(2, n_max + 1):
+        for k in range(1, n):
+            m = n - k
+            yield n, k, fib[n], fib[m - 1] * fib[k] + fib[k + 1] * fib[m]
+
+    for n in range(1, n_max + 1):
+        for k in range(1, n):
+            m = n - k
+            recurrence = fib[m - 1] * coefficient(n - 1, k - 1) + fib[k + 1] * coefficient(n - 1, k)
+            yield n, k, coefficient(n, k), recurrence
+
+    u, v, one = QuadElem.root(alpha), QuadElem.conjugate_root(alpha), QuadElem.from_int(1, alpha)
+    for n in range(1, n_max + 1):
+        # the subset product at (p, q) = (u, v) = (t, alpha - t)
+        series = series_product(_box_factors(one, u, v, n), n + 1, one=one)
+        for k in range(n + 1):
+            # a QuadElem equals an int only when it is t-free
+            yield n, k, series[k], (-1) ** _binom2(k + 1) * coefficient(n, k)
+
+
 def fibonomial_reports(alphas: tuple[int, ...] = (1, 2), n_max: int = 10) -> list[IdentityReport]:
     return [fibonomial_suite(alpha, n_max) for alpha in alphas]
 
@@ -363,7 +408,7 @@ def _selection_points(hi, n_max, k_max):
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             boxes = BoxWeights.from_params(params, n)
-            for k in range(min(k_max, 6) + 1):
+            for k in range(k_max + 1):
                 with_rep = count_selections(boxes, k, repetition=True)
                 yield p, q, n, k, with_rep, coeff_recurrence(params, n + k - 1, k)
                 without_rep = count_selections(boxes, k, repetition=False)
@@ -434,25 +479,45 @@ def volume_oracle_suite(hi: int = 3, n_max: int = 8) -> IdentityReport:
     return sweep("volume-oracle", f"p, q in [1..{hi}]", (n_max, n_max), ("p", "q", "n", "k"), points)
 
 
+def verify_inverse_relation(p_val: int, n_max: int) -> IdentityReport:
+    """Check the diagonal-case inverse against the acyclic-digraph counts:
+    inverse entry (n, k) must equal (-1)**(n-k) * a(n-k) * comb(n, k) *
+    p**(k*(n-k)), with a() from the inclusion-exclusion recurrence."""
+    if p_val < 2:
+        raise ValueError("p_val must be at least 2")
+    if n_max < 0 or n_max > 8:
+        raise ValueError("n_max capped at 8")
+    points = _inverse_relation_points(p_val, n_max)
+    return sweep("inverse-relation", f"p=q={p_val}", (n_max, n_max), ("n", "k"), points)
+
+
+def _inverse_relation_points(p_val: int, n_max: int):
+    dag_counts = [count_acyclic_multidigraphs_recurrence(p_val, r) for r in range(n_max + 1)]
+    for n, row in enumerate(inverse_rows(SeqParams(p_val, p_val), n_max)):
+        for k, entry in enumerate(row):
+            expected = (-1) ** (n - k) * dag_counts[n - k] * comb(n, k) * p_val ** (k * (n - k))
+            yield n, k, entry, expected
+
+
 def inverse_relation_reports(ps: tuple[int, ...] = (2, 3), n_max: int = 8) -> list[IdentityReport]:
     return [verify_inverse_relation(p_val, n_max) for p_val in ps]
 
 
-def _given(**bounds: int | None) -> dict[str, int]:
-    """The bounds that were given; each suite's own default fills the rest."""
+def _given(**bounds: object) -> dict[str, object]:
+    """The arguments that were given; each suite's own default fills the rest."""
     return {name: value for name, value in bounds.items() if value is not None}
 
 
 _IDENTITY_CALLS = {
-    "routes": lambda grid, n, order: [routes_suite(grid, **_given(n_max=n))],
-    "gf": lambda grid, n, order: [gf_suite(grid, **_given(n_max=n, order=order))],
-    "binomial": lambda grid, n, order: [binomial_suite(**_given(n_max=n))],
-    "orthogonality": lambda grid, n, order: [orthogonality_suite(grid, **_given(n_max=n, s_max=n))],
-    "vandermonde": lambda grid, n, order: [vandermonde_suite(grid, **_given(nm_max=n))],
-    "equal1": lambda grid, n, order: [equal1_suite(grid, **_given(k_max=n))],
-    "inversion": lambda grid, n, order: [inversion_suite(grid, **_given(order=n))],
-    "fibonomial": lambda grid, n, order: fibonomial_reports(**_given(n_max=n)),
-    "specializations": lambda grid, n, order: [specialization_suite(**_given(n_max=n))],
+    "routes": lambda grid, n, order, alphas: [routes_suite(grid, **_given(n_max=n))],
+    "gf": lambda grid, n, order, alphas: [gf_suite(grid, **_given(n_max=n, order=order))],
+    "binomial": lambda grid, n, order, alphas: [binomial_suite(**_given(n_max=n))],
+    "orthogonality": lambda grid, n, order, alphas: [orthogonality_suite(grid, **_given(n_max=n, s_max=n))],
+    "vandermonde": lambda grid, n, order, alphas: [vandermonde_suite(grid, **_given(nm_max=n))],
+    "equal1": lambda grid, n, order, alphas: [equal1_suite(grid, **_given(k_max=n))],
+    "inversion": lambda grid, n, order, alphas: [inversion_suite(grid, **_given(order=n))],
+    "fibonomial": lambda grid, n, order, alphas: fibonomial_reports(**_given(alphas=alphas, n_max=n)),
+    "specializations": lambda grid, n, order, alphas: [specialization_suite(**_given(n_max=n))],
 }
 
 _ORACLE_CALLS = {  # name: (largest n_max the brute-force counters accept, call)
@@ -473,14 +538,16 @@ def run_verify(
     grid: list[tuple[int, int]] | None = None,
     n_max: int | None = None,
     order: int | None = None,
+    alpha: int | None = None,
 ) -> list[IdentityReport]:
     """Run one named identity suite (or all of them) and collect reports;
-    a bound left as None takes the suite's default."""
+    a bound left as None takes the suite's default, and ``alpha`` replaces
+    the fibonomial suite's default multipliers with that one."""
     if identity == "all":
-        return [report for name in IDENTITY_SUITES for report in run_verify(name, grid, n_max, order)]
+        return [report for name in IDENTITY_SUITES for report in run_verify(name, grid, n_max, order, alpha)]
     if identity not in _IDENTITY_CALLS:
         raise ValueError(f"unknown identity suite {identity!r}")
-    return _IDENTITY_CALLS[identity](grid, n_max, order)
+    return _IDENTITY_CALLS[identity](grid, n_max, order, None if alpha is None else (alpha,))
 
 
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:

@@ -96,6 +96,12 @@ class TestCoeff:
         assert (rc, out) == (2, "")
         assert err == "error: --p and --q do not apply to --symbolic\n"
 
+    def test_symbolic_with_scale_rejected(self, capsys):
+        rc, out, err = run_cli("coeff", "--symbolic", "--n", "4", "--k", "2", "--scale", "5", capsys=capsys)
+        assert (rc, out, err) == (2, "", "error: --scale does not apply to --symbolic\n")
+        rc, out, _ = run_cli("coeff", "--symbolic", "--n", "4", "--k", "2", "--scale", "1", capsys=capsys)
+        assert (rc, out) == (0, "p^4 + p^3*q + 2*p^2*q^2 + p*q^3 + q^4\n")
+
     def test_degenerate_route_is_usage_error(self, capsys):
         rc, _, err = run_cli(
             "coeff", "--p", "2", "--q", "2", "--n", "4", "--k", "2",
@@ -205,8 +211,11 @@ class TestTable:
             payload = {"p": "-3", "q": "2", "rows": [[str(value) for value in row] for row in rows], "scale": "2"}
             assert out == cli._dump_json(payload) + "\n"
         else:
-            flat = ((n, k, -3, 2, str(value)) for n, row in enumerate(rows) for k, value in enumerate(row))
-            assert out == cli._dump_csv(cli.TABLE_COLUMNS, flat)
+            expected = io.StringIO()
+            writer = csv.writer(expected)
+            writer.writerow(cli.TABLE_COLUMNS)
+            writer.writerows((n, k, -3, 2, str(value)) for n, row in enumerate(rows) for k, value in enumerate(row))
+            assert out == expected.getvalue()
 
     def test_builds_each_row_once(self, capsys, monkeypatch):
         built = []
@@ -334,16 +343,30 @@ class TestVerify:
             raise AssertionError("no suite may run")
 
         monkeypatch.setattr(cli, "run_verify", fail)
-        monkeypatch.setattr(cli, "fibonomial_reports", fail)
         rc, out, err = run_cli("verify", *argv, capsys=capsys)
         assert (rc, out) == (2, "")
         assert err == f"error: --p, --q and --sample do not apply to the {argv[1]} suite\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--p", "2", "--q", "3", "--sample", "3"), "--sample does not apply with --p and --q"),
+            (("--seed", "7"), "--seed only applies with --sample"),
+        ],
+    )
+    def test_sampling_flags_rejected_where_unused(self, argv, message, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("no suite may run")
+
+        monkeypatch.setattr(cli, "run_verify", fail)
+        rc, out, err = run_cli("verify", "--identity", "routes", *argv, capsys=capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_all_accepts_a_pair(self, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(cli, "run_verify", lambda *args: calls.append(args) or [])
         rc, _, err = run_cli("verify", "--p", "2", "--q", "3", capsys=capsys)
-        assert (rc, err, calls) == (0, "", [("all", [(2, 3)], None, None)])
+        assert (rc, err, calls) == (0, "", [("all", [(2, 3)], None, None, None)])
 
     def test_half_specified_grid_rejected(self, capsys):
         rc, _, err = run_cli("verify", "--identity", "routes", "--p", "2", capsys=capsys)

@@ -20,7 +20,6 @@ from tnomial.identities import (
     expand_split_gf,
     expand_subset_gf,
     fibonomial,
-    fibonomial_suite,
     gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
@@ -29,7 +28,7 @@ from tnomial.identities import (
 from tnomial.report import sweep
 from tnomial.rings import BiPoly, QuadElem, XSeries
 from tnomial.sequences import SeqParams
-from tnomial.suites import pq_grid
+from tnomial.suites import fibonomial_suite, pq_grid
 
 params_23 = SeqParams(2, 3)
 

@@ -24,11 +24,11 @@ from tnomial.oracles import (
     count_selections,
     enumeration_budget,
     invert_triangular,
-    verify_inverse_relation,
     volume_ratio,
 )
 from tnomial.coefficients import coeff_recurrence
 from tnomial.sequences import SeqParams
+from tnomial.suites import verify_inverse_relation
 
 params_23 = SeqParams(2, 3)
 
@@ -361,20 +361,12 @@ class TestInverseRelation:
             verify_inverse_relation(2, 9)
 
 
-def _module_level_imports(nodes):
-    for node in nodes:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield node
-        yield from _module_level_imports(ast.iter_child_nodes(node))
-
-
 def test_oracles_import_nothing_from_coefficients_at_module_level():
     """Agreement between an oracle and a formula route is evidence only if
-    the oracle module does not load the formulas itself."""
+    the oracle module does not load the formulas itself, at module level or
+    inside a function."""
     tree = ast.parse(Path(oracles.__file__).read_text())
-    imports = list(_module_level_imports(tree.body))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert imports, "the guard found no imports at all"
     for node in imports:
         modules = [alias.name for alias in node.names]

@@ -154,6 +154,8 @@ class TestQuadElem:
             QuadElem.root(1) + QuadElem.root(2)
         with pytest.raises(ParameterMismatchError):
             QuadElem.root(1) * QuadElem.root(2)
+        with pytest.raises(ParameterMismatchError):
+            QuadElem.root(1) - QuadElem.root(2)
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ValueError):
@@ -174,6 +176,22 @@ class TestQuadElem:
     def test_power(self):
         t = QuadElem.root(1)
         assert t**10 == QuadElem(34, 55, 1)
+        assert t**0 == 1
+        with pytest.raises(ValueError):
+            t**-1
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(BiPoly({(2, 1): 3, (0, 0): -1}), BiPoly({(1, 0): 2, (0, 1): 5})), (QuadElem(2, -3, 2), QuadElem(-1, 4, 2))],
+)
+class TestDerivedOperators:
+    def test_subtraction_is_adding_the_negative(self, x, y):
+        assert 3 - x == -x + 3
+        assert x - 3 == x + (-3)
+        assert x - y == x + (-y)
+        assert (x - y) + y == x
+        assert x - x == x * 0
 
 
 class TestXSeries:

@@ -3,13 +3,16 @@ dispatchers must reject unknown names."""
 
 from __future__ import annotations
 
+import ast
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tnomial import coefficients, identities, oracles, suites
+from tnomial.errors import BudgetExceededError
 from tnomial.report import IdentityReport
 from tnomial.rings import XSeries
 from tnomial.sequences import SeqParams
@@ -28,6 +31,7 @@ from tnomial.suites import (
     run_oracle,
     run_verify,
     sample_grid,
+    selections_oracle_suite,
     specialization_suite,
     vandermonde_suite,
 )
@@ -72,6 +76,38 @@ def test_unknown_names_rejected():
         run_verify("numerology")
     with pytest.raises(ValueError):
         run_oracle("numerology")
+
+
+def test_run_verify_passes_alpha_to_the_fibonomial_suite():
+    assert run_verify("fibonomial", n_max=6, alpha=3) == fibonomial_reports((3,), 6)
+
+
+def test_selections_oracle_raises_past_its_cap():
+    # k_max past the counter's cap k <= 6 raises, not a HOLDS over k <= 6 only
+    with pytest.raises(BudgetExceededError):
+        selections_oracle_suite(k_max=7)
+
+
+def _imports_sweep(node) -> bool:
+    """Whether an import statement binds ``report.sweep`` or the report module."""
+    if isinstance(node, ast.ImportFrom):
+        if (node.module or "").split(".")[-1] == "report":
+            return any(alias.name in ("sweep", "*") for alias in node.names)
+        return any(alias.name == "report" for alias in node.names)
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "report" for alias in node.names)
+    return False
+
+
+def test_only_the_suites_module_sweeps():
+    """Oracles and identities compute sides; only suites.py compares them."""
+    package = Path(suites.__file__).parent
+    importers = {
+        path.name
+        for path in package.glob("*.py")
+        if any(_imports_sweep(node) for node in ast.walk(ast.parse(path.read_text())))
+    }
+    assert importers == {"suites.py"}
 
 
 def corrupt_triangle_rows(monkeypatch, n, k):
