@@ -71,17 +71,13 @@ from .rings import (
     QuadElem,
     XSeries,
     exact_div,
-    geometric_series,
     series_product,
 )
 from .sequences import (
     SeqParams,
     compositions_of,
-    gf_coefficients,
     term_closed,
     term_factorial,
-    term_sum,
-    term_symbolic,
 )
 from .suites import fibonomial_suite, pq_grid, run_oracle, run_verify, verify_inverse_relation
 
@@ -128,8 +124,6 @@ __all__ = [
     "gaussian_basis",
     "gaussian_explicit",
     "gaussian_inverse_entry",
-    "geometric_series",
-    "gf_coefficients",
     "inverse_rows",
     "invert_triangular",
     "multinomial",
@@ -139,8 +133,6 @@ __all__ = [
     "series_product",
     "term_closed",
     "term_factorial",
-    "term_sum",
-    "term_symbolic",
     "triangle_rows",
     "vandermonde_terms",
     "verify_inverse_relation",

@@ -42,13 +42,24 @@ def _check_indices(n: int, k: int) -> None:
         raise ValueError(f"coefficient indices need 0 <= k <= n, got n={n}, k={k}")
 
 
+def _share_mirrored(row: list) -> list:
+    """``row``, with its upper half made of the lower half's objects if it
+    equals the reversed lower half, so a symmetric row holds each mirrored
+    entry once; the entries are only compared, never assumed symmetric."""
+    half = len(row) // 2
+    mirrored = row[:half][::-1]
+    if row[len(row) - half :] == mirrored:
+        row[len(row) - half :] = mirrored
+    return row
+
+
 def _next_row(prev: list[int], p: int, q: int) -> list[int]:
     n = len(prev)
     row = [1]
     for k in range(1, n):
         row.append(p ** (n - k) * prev[k - 1] + q**k * prev[k])
     row.append(1)
-    return row
+    return _share_mirrored(row)
 
 
 def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
@@ -131,7 +142,7 @@ def _next_row_dense(prev: list[list[int]]) -> list[list[int]]:
         overlap = [x + y for x, y in zip_longest(a, b[shift:], fillvalue=0)]
         row.append(b[:shift] + [0] * (shift - len(b)) + overlap)
     row.append([1])
-    return row
+    return _share_mirrored(row)
 
 
 def _dense_row(n: int) -> list[list[int]]:

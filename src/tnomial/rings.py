@@ -166,8 +166,21 @@ class BiPoly(_RingElement):
         return hash(frozenset(self._terms.items()))
 
     def eval(self, p0: int, q0: int) -> int:
-        """Exact evaluation at integer arguments."""
-        return sum(coeff * p0**i * q0**j for (i, j), coeff in self._terms.items())
+        """Exact evaluation at integer arguments: Horner in p over the distinct
+        p-degrees, each q-power built once.  Both step by ``pow`` over the gaps
+        between degrees that occur, so a sparse high power costs one ``pow``."""
+        q_powers, power, last = {}, 1, 0
+        for j in sorted({j for _, j in self._terms}):
+            power *= q0 ** (j - last)
+            q_powers[j], last = power, j
+        terms = sorted(self._terms.items(), reverse=True)
+        acc, last = 0, terms[0][0][0] if terms else 0
+        for (i, j), coeff in terms:
+            if i != last:
+                acc *= p0 ** (last - i)
+                last = i
+            acc += coeff * q_powers[j]
+        return acc * p0**last
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in canonical display order: lexicographic on the exponent
@@ -381,17 +394,6 @@ class XSeries:
 
     def __repr__(self) -> str:
         return f"XSeries({list(self._coeffs)!r}, order={self._order})"
-
-
-def geometric_series(lam, order: int) -> XSeries:
-    """Expansion of 1 / (1 - lam*x) to the given order: sum of lam**j x**j."""
-    one = lam**0
-    coeffs = [one]
-    current = one
-    for _ in range(max(order - 1, 0)):
-        current = current * lam
-        coeffs.append(current)
-    return XSeries(coeffs, order, zero=one * 0)
 
 
 def series_product(factors: Iterable[tuple], order: int, one=1, reciprocals: Iterable = ()) -> XSeries:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rings import BiPoly, exact_div, geometric_series
+from .rings import exact_div
 
 
 @dataclass(frozen=True)
@@ -43,21 +43,6 @@ def term_closed(params: SeqParams, n: int) -> int:
     return params.scale * base
 
 
-def term_sum(params: SeqParams, n: int) -> int:
-    """n-th term as the homogeneous power sum over q**(n-i) * p**(i-1)."""
-    if n < 0:
-        raise ValueError("term index must be nonnegative")
-    p, q = params.p, params.q
-    return params.scale * sum(q ** (n - i) * p ** (i - 1) for i in range(1, n + 1))
-
-
-def term_symbolic(n: int) -> BiPoly:
-    """n-th term with p and q left as indeterminates (scale fixed at 1)."""
-    if n < 0:
-        raise ValueError("term index must be nonnegative")
-    return BiPoly({(i - 1, n - i): 1 for i in range(1, n + 1)})
-
-
 def term_factorial(params: SeqParams, n: int) -> int:
     """Product of the first n terms; the empty product for n = 0."""
     if n < 0:
@@ -77,20 +62,6 @@ def _term_product(params: SeqParams, lo: int, hi: int) -> int:
         return out
     mid = (lo + hi) // 2
     return _term_product(params, lo, mid) * _term_product(params, mid, hi)
-
-
-def gf_coefficients(params: SeqParams, count: int) -> list[int]:
-    """Terms 0..count read off the generating-function expansion.
-
-    Expands scale * x / ((1 - p*x)(1 - q*x)) as a truncated series product
-    of the two geometric factors, shifted by one.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count == 0:
-        return [0]
-    prod = geometric_series(params.p, count) * geometric_series(params.q, count)
-    return [0] + [params.scale * c for c in prod.coefficients[:count]]
 
 
 def compositions_of(n: int, parts: int) -> Iterator[tuple[int, ...]]:

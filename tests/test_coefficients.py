@@ -6,6 +6,7 @@ import copy
 import itertools
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
@@ -473,6 +474,67 @@ class TestPartialFractions:
                     assert coeff_partial_fractions(params, n, k) == coeff_recurrence(
                         params, n, k
                     )
+
+
+class TestMirroredEntriesShared:
+    """Each row keeps C(n, k) and C(n, n - k) as one object, and the sharing
+    step only compares: it never makes an asymmetric row symmetric."""
+
+    @staticmethod
+    def assert_shared(row):
+        assert all(row[k] is row[-1 - k] for k in range(len(row))), row
+
+    def test_cached_numeric_rows(self, monkeypatch):
+        monkeypatch.delitem(coefficients._numeric_rows, (4, 3), raising=False)
+        coeff_recurrence(SeqParams(4, 3), 128, 0)
+        rows = coefficients._numeric_rows[(4, 3)]
+        assert len(rows) == 129
+        for row in rows:
+            self.assert_shared(row)
+
+    def test_rows_past_the_cache(self):
+        rows = list(triangle_rows(SeqParams(4, 3), 140))
+        assert rows[140] == [coeff_recurrence(SeqParams(4, 3), 140, k) for k in range(141)]
+        for row in rows[129:]:
+            self.assert_shared(row)
+
+    def test_symbolic_dense_rows(self):
+        coeff_symbolic(40, 20)
+        for row in coefficients._symbolic_rows[:41]:
+            self.assert_shared(row)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_rows_zero_to_three(self, n):
+        symmetric = [10**30 + min(k, n - k) for k in range(n + 1)]
+        assert coefficients._share_mirrored(symmetric) == [10**30 + min(k, n - k) for k in range(n + 1)]
+        self.assert_shared(symmetric)
+        if n:
+            asymmetric = [10**30 + k for k in range(n + 1)]
+            before = list(asymmetric)
+            assert coefficients._share_mirrored(asymmetric) is asymmetric
+            assert all(x is y for x, y in zip(asymmetric, before, strict=True))
+
+    def test_asymmetric_row_is_not_repaired(self):
+        row = [10**30 + v for v in (0, 7, 8, 0)]  # the ends agree, the middle does not
+        before = list(row)
+        assert coefficients._share_mirrored(row) == before
+        assert all(x is y for x, y in zip(row, before, strict=True))
+        assert row[0] is not row[3]
+
+    def test_shared_rows_take_at_most_six_tenths_of_the_memory(self, monkeypatch):
+        def traced_size_of_rows():
+            tracemalloc.start()
+            try:
+                rows = [[1]]
+                for _ in range(128):
+                    rows.append(coefficients._next_row(rows[-1], 4, 3))
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        shared = traced_size_of_rows()
+        monkeypatch.setattr(coefficients, "_share_mirrored", lambda row: row)
+        assert shared <= 0.6 * traced_size_of_rows()
 
 
 class TestErrorsAndCache:

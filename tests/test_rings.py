@@ -3,6 +3,7 @@ ring elements and truncated series."""
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -11,15 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_sequences import geometric_series
 from tnomial.errors import DivisibilityError, ParameterMismatchError
-from tnomial.rings import (
-    BiPoly,
-    QuadElem,
-    XSeries,
-    exact_div,
-    geometric_series,
-    series_product,
-)
+from tnomial.rings import BiPoly, QuadElem, XSeries, exact_div, series_product
 
 small = st.integers(-6, 6)
 
@@ -105,6 +100,40 @@ class TestBiPoly:
     def test_eval_is_a_homomorphism(self, a, b, p0, q0):
         assert (a * b).eval(p0, q0) == a.eval(p0, q0) * b.eval(p0, q0)
         assert (a + b).eval(p0, q0) == a.eval(p0, q0) + b.eval(p0, q0)
+
+    @staticmethod
+    def _term_sum(poly, p0, q0):
+        """The reference for ``eval``: each term's powers raised on their own."""
+        return sum(coeff * p0**i * q0**j for (i, j), coeff in poly.terms.items())
+
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 30), st.integers(0, 30)), st.integers(-9, 9), max_size=8).map(BiPoly),
+        small,
+        small,
+    )
+    def test_eval_matches_term_sum(self, poly, p0, q0):
+        assert poly.eval(p0, q0) == self._term_sum(poly, p0, q0)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            {},
+            {(0, 0): 7},
+            {(0, 0): -3, (0, 4): 2, (5, 0): 1},
+            {(10, 0): 1, (3, 7): -4, (0, 20): 5, (3, 1): 2},
+            {(2, 3): 1, (7, 3): -1, (7, 9): 6},
+        ],
+    )
+    @pytest.mark.parametrize("p0, q0", [(0, 0), (0, 5), (4, 0), (-3, 2), (2, -3), (-1, -1), (1, 1)])
+    def test_eval_zero_constant_and_gap_cases(self, terms, p0, q0):
+        poly = BiPoly(terms)
+        assert poly.eval(p0, q0) == self._term_sum(poly, p0, q0)
+
+    def test_eval_sparse_high_power_costs_one_pow(self):
+        start = time.perf_counter()
+        value = BiPoly.monomial(100000, 100000).eval(3, -2)
+        assert time.perf_counter() - start < 0.5
+        assert value == 3**100000 * (-2) ** 100000
 
     @given(bipolys, st.integers(0, 5))
     def test_pow_matches_repeated_product(self, a, e):

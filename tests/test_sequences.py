@@ -8,17 +8,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tnomial.sequences import (
-    SeqParams,
-    compositions_of,
-    gf_coefficients,
-    term_closed,
-    term_factorial,
-    term_sum,
-    term_symbolic,
-)
+from tnomial.rings import BiPoly, XSeries
+from tnomial.sequences import SeqParams, compositions_of, term_closed, term_factorial
 
 params_23 = SeqParams(2, 3)
+
+
+# Three more definitions of the n-th term, kept here as references for
+# ``term_closed``: the power sum, the sum over Z[p, q] and the
+# generating-function expansion.
+
+
+def term_sum(params: SeqParams, n: int) -> int:
+    """n-th term as the homogeneous power sum over q**(n-i) * p**(i-1)."""
+    p, q = params.p, params.q
+    return params.scale * sum(q ** (n - i) * p ** (i - 1) for i in range(1, n + 1))
+
+
+def term_symbolic(n: int) -> BiPoly:
+    """n-th term with p and q left as indeterminates (scale fixed at 1)."""
+    return BiPoly({(i - 1, n - i): 1 for i in range(1, n + 1)})
+
+
+def geometric_series(lam, order: int) -> XSeries:
+    """Expansion of 1 / (1 - lam*x) to the given order: sum of lam**j x**j."""
+    one = lam**0
+    coeffs = [one]
+    for _ in range(max(order - 1, 0)):
+        coeffs.append(coeffs[-1] * lam)
+    return XSeries(coeffs, order, zero=one * 0)
+
+
+def gf_coefficients(params: SeqParams, count: int) -> list[int]:
+    """Terms 0..count read off scale * x / ((1 - p*x)(1 - q*x)), expanded as
+    the truncated product of the two geometric factors, shifted by one."""
+    if count == 0:
+        return [0]
+    prod = geometric_series(params.p, count) * geometric_series(params.q, count)
+    return [0] + [params.scale * c for c in prod.coefficients[:count]]
+
 
 param_ints = st.integers(-4, 4)
 indices = st.integers(0, 10)
