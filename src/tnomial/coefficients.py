@@ -18,8 +18,8 @@ exactly and the others never see it.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import zip_longest
 from math import comb
 from operator import mul
@@ -29,10 +29,6 @@ from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, exact_div
 from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
-_lock = threading.Lock()
-_numeric_rows: dict[tuple[int, int], list[list[int]]] = {}
-_symbolic_rows: list[list[list[int]]] = [[[1]]]
-_symbolic_entries: dict[tuple[int, int], BiPoly] = {}
 _CACHE_LIMIT = 128  # memoized rows per triangle; rows past it are rebuilt, not cached
 _MAX_PAIRS = 64
 
@@ -62,24 +58,10 @@ def _next_row(prev: list[int], p: int, q: int) -> list[int]:
     return _share_mirrored(row)
 
 
-def _cached_rows(p: int, q: int, n: int) -> tuple[list[list[int]], int]:
-    """The memoized rows of the (p, q) triangle, extended under ``_lock`` up
-    to row min(n, _CACHE_LIMIT), and the index of the highest one <= n.
-
-    At most _MAX_PAIRS pairs stay cached: a new pair evicts the oldest.
-    The rows list is shared and only ever appended to, so indices up to the
-    returned one stay valid outside the lock, even after its pair is evicted;
-    callers must not mutate it.
-    """
-    with _lock:
-        rows = _numeric_rows.get((p, q))
-        if rows is None:
-            if len(_numeric_rows) >= _MAX_PAIRS:
-                del _numeric_rows[next(iter(_numeric_rows))]
-            rows = _numeric_rows[(p, q)] = [[1]]
-        while len(rows) - 1 < min(n, _CACHE_LIMIT):
-            rows.append(_next_row(rows[-1], p, q))
-        return rows, min(n, len(rows) - 1)
+@lru_cache(maxsize=_MAX_PAIRS * (_CACHE_LIMIT + 1))
+def _row(p: int, q: int, n: int) -> list[int]:
+    """Row n <= _CACHE_LIMIT of the (p, q) triangle, memoized; callers must not mutate it."""
+    return [1] if n == 0 else _next_row(_row(p, q, n - 1), p, q)
 
 
 def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
@@ -92,17 +74,13 @@ def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
     every entry the recurrence reads is either in the previous window or
     one of the constant edges C(m, 0) = 1 and C(m - 1, m) = 0.
     """
-    # A cached row is read without the lock: rows are only appended, whole and
-    # under _lock, so a stale len(rows) just sends the call to the path below.
-    rows = _numeric_rows.get((params.p, params.q))
-    if rows is not None and 0 <= k <= n < len(rows):
-        return rows[n][k]
-    _check_indices(n, k)
     p, q = params.p, params.q
-    rows, top = _cached_rows(p, q, n)
-    window = rows[top][: k + 1]
+    if 0 <= k <= n <= _CACHE_LIMIT:
+        return _row(p, q, n)[k]
+    _check_indices(n, k)
+    window = _row(p, q, _CACHE_LIMIT)[: k + 1]
     window += [0] * (k + 1 - len(window))
-    for m in range(top + 1, n + 1):
+    for m in range(_CACHE_LIMIT + 1, n + 1):
         for j in range(min(m, k), max(1, k - (n - m)) - 1, -1):
             window[j] = p ** (m - j) * window[j - 1] + q**j * window[j]
     return window[k]
@@ -119,11 +97,8 @@ def triangle_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     p, q = params.p, params.q
-    rows, top = _cached_rows(p, q, n_max)
-    yield from rows[: top + 1]
-    row = rows[top]
-    for _ in range(top, n_max):
-        row = _next_row(row, p, q)
+    for n in range(n_max + 1):
+        row = _row(p, q, n) if n <= _CACHE_LIMIT else _next_row(row, p, q)
         yield row
 
 
@@ -145,17 +120,28 @@ def _next_row_dense(prev: list[list[int]]) -> list[list[int]]:
     return _share_mirrored(row)
 
 
+@cache
+def _cached_dense_row(n: int) -> list[list[int]]:
+    """Row n <= _CACHE_LIMIT of the symbolic triangle in dense form, memoized."""
+    return [[1]] if n == 0 else _next_row_dense(_cached_dense_row(n - 1))
+
+
 def _dense_row(n: int) -> list[list[int]]:
-    """Row n of the symbolic triangle in dense homogeneous form; rows up to
-    the cache limit are memoized, rows past it rebuilt from the last one."""
-    with _lock:
-        rows = _symbolic_rows
-        while len(rows) - 1 < min(n, _CACHE_LIMIT):
-            rows.append(_next_row_dense(rows[-1]))
-        row = rows[min(n, len(rows) - 1)]
-    while len(row) - 1 < n:
+    """Row n of the symbolic triangle in dense homogeneous form; rows past
+    the cache limit are rebuilt from the last memoized one, not stored."""
+    row = _cached_dense_row(min(n, _CACHE_LIMIT))
+    for _ in range(_CACHE_LIMIT, n):
         row = _next_row_dense(row)
     return row
+
+
+@cache
+def _symbolic_entry(n: int, k: int) -> BiPoly:
+    """Entry (n, k) of the symbolic triangle as a ``BiPoly``, memoized; called
+    with valid indices only, and past the cache limit through ``__wrapped__``."""
+    dense = _dense_row(n)[k]
+    degree = len(dense) - 1
+    return BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
 
 
 def coeff_symbolic(n: int, k: int) -> BiPoly:
@@ -165,19 +151,10 @@ def coeff_symbolic(n: int, k: int) -> BiPoly:
     requested entry becomes a ``BiPoly`` once and, for n up to the cache
     limit, is memoized.
     """
-    # A memoized entry is read without the lock: entries are immutable and
-    # stored whole under _lock, and only valid (n, k) are ever stored.
-    poly = _symbolic_entries.get((n, k))
-    if poly is not None:
-        return poly
+    if 0 <= k <= n <= _CACHE_LIMIT:
+        return _symbolic_entry(n, k)
     _check_indices(n, k)
-    dense = _dense_row(n)[k]
-    degree = len(dense) - 1
-    poly = BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
-    if n <= _CACHE_LIMIT:
-        with _lock:
-            _symbolic_entries[(n, k)] = poly
-    return poly
+    return _symbolic_entry.__wrapped__(n, k)
 
 
 def symbolic_row(params: SeqParams, n: int) -> list[int]:

@@ -177,7 +177,7 @@ class TestTable:
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_rows_past_cache_limit_match_entries(self, fmt, capsys, monkeypatch):
         params = SeqParams(-3, 2)
-        monkeypatch.delitem(coefficients._numeric_rows, (-3, 2), raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         rc, out, _ = run_cli(
             "table", "--p", "-3", "--q", "2", "--max", "9", "--format", fmt, capsys=capsys
@@ -199,7 +199,7 @@ class TestTable:
     @pytest.mark.parametrize("n_max", (0, 1, 7))
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     def test_streamed_bytes_match_whole_document(self, fmt, n_max, capsys, monkeypatch):
-        monkeypatch.delitem(coefficients._numeric_rows, (-3, 2), raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         rc, out, _ = run_cli(
             "table", "--p", "-3", "--q", "2", "--scale", "2", "--max", str(n_max), "--format", fmt,
@@ -226,7 +226,7 @@ class TestTable:
             return next_row(prev, p, q)
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
-        monkeypatch.delitem(coefficients._numeric_rows, (5, -7), raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         rc, _, _ = run_cli("table", "--p", "5", "--q", "-7", "--max", "20", capsys=capsys)
         assert rc == 0

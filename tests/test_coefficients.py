@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import sys
 import threading
@@ -129,6 +130,11 @@ def sparse_symbolic_rows(n_max):
     return rows
 
 
+def clear_symbolic_memos():
+    coefficients._cached_dense_row.cache_clear()
+    coefficients._symbolic_entry.cache_clear()
+
+
 def outcome(fn, *args):
     """The value of a call, or the type and message of what it raised."""
     try:
@@ -196,7 +202,7 @@ class TestInverseRoute:
             return next_row(prev, p, q)
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
-        monkeypatch.delitem(coefficients._numeric_rows, (7, -5), raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         # the composition sum would enumerate 2**39 compositions here
         value = coeff_inverse(SeqParams(7, -5), 40, 0)
@@ -254,7 +260,7 @@ class TestRewrittenRoutesAgainstReferences:
     @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (0, 2), (2, 0), (2, 2), (2, -2), (0, 0)])
     def test_recurrence_windows_past_cache_limit(self, pq, monkeypatch):
         params = SeqParams(*pq)
-        monkeypatch.delitem(coefficients._numeric_rows, pq, raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         rows = list(triangle_rows(params, 40))
         got = [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(41)]
@@ -270,7 +276,7 @@ class TestRewrittenRoutesAgainstReferences:
             return next_row(prev, p, q)
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
-        monkeypatch.delitem(coefficients._numeric_rows, (2, 3), raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         values = [coeff_recurrence(params_23, 400, k) for k in (0, 1, 399)]
         assert values == [1, term_closed(params_23, 400), term_closed(params_23, 400)]
@@ -283,14 +289,13 @@ class TestRewrittenRoutesAgainstReferences:
                 assert coeff_symbolic(n, k) == poly, (n, k)
 
     def test_symbolic_past_cache_limit(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
-        monkeypatch.setattr(coefficients, "_symbolic_entries", {})
+        clear_symbolic_memos()
         rows = sparse_symbolic_rows(14)
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         got = [[coeff_symbolic(n, k) for k in range(n + 1)] for n in range(15)]
         assert got == rows
-        assert len(coefficients._symbolic_rows) == 5
-        assert max(n for n, _ in coefficients._symbolic_entries) == 4
+        assert coefficients._cached_dense_row.cache_info().currsize == 5
+        assert coefficients._symbolic_entry.cache_info().currsize == 15  # the entries of rows 0..4
 
 
 class TestLambdaSumsAgainstEnumeration:
@@ -484,13 +489,12 @@ class TestMirroredEntriesShared:
     def assert_shared(row):
         assert all(row[k] is row[-1 - k] for k in range(len(row))), row
 
-    def test_cached_numeric_rows(self, monkeypatch):
-        monkeypatch.delitem(coefficients._numeric_rows, (4, 3), raising=False)
+    def test_cached_numeric_rows(self):
+        coefficients._row.cache_clear()
         coeff_recurrence(SeqParams(4, 3), 128, 0)
-        rows = coefficients._numeric_rows[(4, 3)]
-        assert len(rows) == 129
-        for row in rows:
-            self.assert_shared(row)
+        assert coefficients._row.cache_info().currsize == 129
+        for n in range(129):
+            self.assert_shared(coefficients._row(4, 3, n))
 
     def test_rows_past_the_cache(self):
         rows = list(triangle_rows(SeqParams(4, 3), 140))
@@ -500,8 +504,8 @@ class TestMirroredEntriesShared:
 
     def test_symbolic_dense_rows(self):
         coeff_symbolic(40, 20)
-        for row in coefficients._symbolic_rows[:41]:
-            self.assert_shared(row)
+        for n in range(41):
+            self.assert_shared(coefficients._cached_dense_row(n))
 
     @pytest.mark.parametrize("n", range(4))
     def test_rows_zero_to_three(self, n):
@@ -556,58 +560,68 @@ class TestErrorsAndCache:
 
     def test_triangle_rows_across_cache_limit(self, monkeypatch):
         params = SeqParams(-3, 5)
-        monkeypatch.delitem(coefficients._numeric_rows, (-3, 5), raising=False)
+        coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         assert list(triangle_rows(params, 4)) == [
             [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(5)
         ]
-        cached = coefficients._numeric_rows[(-3, 5)]
+        cached = [coefficients._row(-3, 5, n) for n in range(5)]
         snapshot = copy.deepcopy(cached)
         rows = list(triangle_rows(params, 12))
         assert rows == [
             [coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(13)
         ]
         assert cached == snapshot
-        assert len(cached) == 5
+        assert coefficients._row.cache_info().currsize == 5
 
-    def test_cached_pairs_stay_bounded(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_numeric_rows", {})
-        bound = coefficients._MAX_PAIRS
+    def test_cached_pairs_stay_bounded(self):
+        memo = coefficients._row
+        memo.cache_clear()
+        bound = memo.cache_info().maxsize
+        assert bound == coefficients._MAX_PAIRS * (coefficients._CACHE_LIMIT + 1)
         pairs = [(p, q) for p in range(-20, 20) for q in range(-12, 13)]
         assert len(pairs) == 1000
         first_rows = {}
-        for p, q in pairs:
-            first_rows[(p, q)] = list(triangle_rows(SeqParams(p, q), 6))
-            assert len(coefficients._numeric_rows) <= bound
-        assert list(coefficients._numeric_rows) == pairs[-bound:]
-        for (p, q), rows in coefficients._numeric_rows.items():
-            assert rows == first_rows[(p, q)]
-            assert rows[6][3] == coeff_factorial(SeqParams(p, q), 6, 3)
-        # evicted pairs are rebuilt on demand, with the same values
+        for p, q in pairs:  # 13 rows a pair, so the memo fills and then evicts
+            first_rows[(p, q)] = list(triangle_rows(SeqParams(p, q), 12))
+            assert memo.cache_info().currsize <= bound
+        assert memo.cache_info().currsize == bound
+        # the rows of the most recent pairs are held, and read without a rebuild
+        hits, misses = memo.cache_info()[:2]
+        recent = pairs[-(bound // 13) :]
+        for p, q in recent:
+            params = SeqParams(p, q)
+            assert [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(13)] == first_rows[(p, q)]
+        assert memo.cache_info()[:2] == (hits + 91 * len(recent), misses)
+        for p, q in pairs[-64:]:
+            assert first_rows[(p, q)][12][6] == coeff_factorial(SeqParams(p, q), 12, 6)
+        # evicted rows are rebuilt on demand, with the same values
         for p, q in pairs[::37]:
             params = SeqParams(p, q)
-            assert [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(7)] == first_rows[(p, q)]
-        assert len(coefficients._numeric_rows) == bound
+            assert [[coeff_recurrence(params, n, k) for k in range(n + 1)] for n in range(13)] == first_rows[(p, q)]
+        assert memo.cache_info().misses > misses
+        assert memo.cache_info().currsize == bound
 
-    def test_default_sweeps_evict_no_pair(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_numeric_rows", {})
+    def test_default_sweeps_evict_no_pair(self):
+        memo = coefficients._row
+        memo.cache_clear()
         run_verify("all")
         run_oracle("all")
-        # a pair is evicted only once the cache is full
-        assert len(coefficients._numeric_rows) < coefficients._MAX_PAIRS
+        # every row built is still held: none was evicted
+        assert memo.cache_info().currsize == memo.cache_info().misses
 
     def test_cached_rows_still_validate_indices(self, monkeypatch):
         params = SeqParams(6, -5)
-        monkeypatch.delitem(coefficients._numeric_rows, (6, -5), raising=False)
+        coefficients._row.cache_clear()
         coeff_recurrence(params, 10, 0)
-        assert len(coefficients._numeric_rows[(6, -5)]) == 11
+        assert coefficients._row.cache_info().currsize == 11
         for n, k in ((5, -1), (5, 6), (-1, 0), (-1, -1)):
             with pytest.raises(ValueError):
                 coeff_recurrence(params, n, k)
 
     def test_concurrent_reads_of_a_fresh_pair(self, monkeypatch):
         params = SeqParams(-7, 4)
-        monkeypatch.delitem(coefficients._numeric_rows, (-7, 4), raising=False)
+        coefficients._row.cache_clear()
         barrier = threading.Barrier(4)
         results = [None] * 4
 
@@ -634,10 +648,12 @@ class TestErrorsAndCache:
         assert results == [[rows[n][k] for n, k in columns]] * 4
 
     def test_concurrent_reads_while_pairs_are_evicted(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_numeric_rows", {})
+        # the same memo with room for 60 rows, so rows are evicted while others are read
+        memo = functools.lru_cache(maxsize=60)(coefficients._row.__wrapped__)
+        monkeypatch.setattr(coefficients, "_row", memo)
         barrier = threading.Barrier(4)
         results = [None] * 4
-        # 4 x 40 distinct pairs, so pairs are evicted while others are read
+        # 4 x 40 distinct pairs of 13 rows each
         slots = [[(p, q) for p in range(1, 5) for q in range(10 * slot + 1, 10 * slot + 11)] for slot in range(4)]
         columns = [(n, k) for n in range(13) for k in range(n + 1)]
 
@@ -656,7 +672,7 @@ class TestErrorsAndCache:
         finally:
             sys.setswitchinterval(switch_interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(coefficients._numeric_rows) == coefficients._MAX_PAIRS
+        assert memo.cache_info().currsize == 60
         for slot in range(4):
             expected = [coeff_factorial(SeqParams(p, q), n, k) for p, q in slots[slot] for n, k in columns]
             assert results[slot] == expected
@@ -670,8 +686,7 @@ class TestErrorsAndCache:
                 coeff_symbolic(n, k)
 
     def test_concurrent_reads_of_a_fresh_symbolic_triangle(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
-        monkeypatch.setattr(coefficients, "_symbolic_entries", {})
+        clear_symbolic_memos()
         barrier = threading.Barrier(4)
         results = [None] * 4
 
@@ -776,11 +791,10 @@ class TestRowForms:
         assert lambda_subset_row(params_23, 0) == [1]
 
     def test_symbolic_row_past_the_cache_limit(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_symbolic_rows", [[[1]]])
-        monkeypatch.setattr(coefficients, "_symbolic_entries", {})
+        clear_symbolic_memos()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 3)
         for p, q in ((2, 3), (0, 5), (-2, 0), (0, 0)):
             for n in range(10):
                 expected = [coeff_symbolic(n, k).eval(p, q) for k in range(n + 1)]
                 assert symbolic_row(SeqParams(p, q), n) == expected
-        assert len(coefficients._symbolic_rows) == 4
+        assert coefficients._cached_dense_row.cache_info().currsize == 4
