@@ -48,11 +48,9 @@ from .identities import (
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
-    fibonomial,
     gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
-    vandermonde_terms,
 )
 from .oracles import (
     BoxWeights,
@@ -119,7 +117,6 @@ __all__ = [
     "expand_multiset_gf",
     "expand_split_gf",
     "expand_subset_gf",
-    "fibonomial",
     "fibonomial_suite",
     "gaussian_basis",
     "gaussian_explicit",
@@ -134,7 +131,6 @@ __all__ = [
     "term_closed",
     "term_factorial",
     "triangle_rows",
-    "vandermonde_terms",
     "verify_inverse_relation",
     "volume_ratio",
 ]

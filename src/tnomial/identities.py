@@ -30,9 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .coefficients import coeff_recurrence, triangle_rows
+from .coefficients import coeff_recurrence
 from .errors import DegenerateParametersError
-from .rings import BiPoly, XSeries, exact_div, series_product
+from .rings import BiPoly, XSeries, series_product
 from .sequences import SeqParams
 
 
@@ -154,22 +154,15 @@ def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: XSeries, multise
     return sums
 
 
-def vandermonde_terms(params: SeqParams, n: int, m: int, k: int) -> tuple[int, int, int]:
-    """Left side and both right-side variants of the convolution identity.
+def _vandermonde_at(params: SeqParams, n: int, m: int, k: int, rows: list) -> tuple[int, int, int]:
+    """Left side and both right-side variants of the convolution identity,
+    reading C from ``rows``, rows 0..n+m or more of the triangle.
 
     Returns (C(n+m, k), proof-exponent sum, plain-exponent sum) where the
     summand is p**E * q**((n-s)(k-s)) * C(n, s) * C(m, k-s) with
     E = (m+s-k)*s for the proof-exponent variant and E = m+s-k for the
     plain one.  Only the proof-exponent variant is an identity.
     """
-    if n < 0 or m < 0 or k < 0 or k > n + m:
-        raise ValueError("need 0 <= k <= n + m")
-    return _vandermonde_at(params, n, m, k, list(triangle_rows(params, n + m)))
-
-
-def _vandermonde_at(params: SeqParams, n: int, m: int, k: int, rows: list) -> tuple[int, int, int]:
-    """``vandermonde_terms`` reading C from ``rows``, rows 0..n+m or more of
-    the triangle."""
     p, q = params.p, params.q
     lhs = rows[n + m][k]
     rhs_proof = 0
@@ -192,19 +185,6 @@ def alpha_fibonacci(alpha: int, n: int) -> int:
     for _ in range(n):
         prev, cur = cur, alpha * cur + prev
     return cur
-
-
-def fibonomial(alpha: int, n: int, k: int) -> int:
-    """Fibonomial coefficient: the ratio of generalized Fibonacci factorials."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
-    if alpha < 1:
-        raise ValueError("alpha must be a positive integer")
-    factorials, prev, cur = [1], 0, 1  # one walk: cur runs through f(1)..f(n)
-    for _ in range(n):
-        factorials.append(factorials[-1] * cur)
-        prev, cur = cur, alpha * cur + prev
-    return exact_div(factorials[n], factorials[k] * factorials[n - k])
 
 
 def gaussian_explicit(q_val: int, n: int, k: int) -> Fraction:

@@ -458,11 +458,8 @@ def _dag_points(n_max):
 def dag_oracle_suite(n_max: int = 4) -> IdentityReport:
     """Brute-force acyclic multi-digraph counts: frozen values for
     multiplicity bound 2, and recurrence agreement for bounds 2 and 3.
-    A larger ``n_max`` is capped at the last frozen count, with a note."""
-    cap = len(ACYCLIC_BASE_COUNTS) - 1
-    notes = [f"n_max capped at {cap} (asked {n_max})"] if n_max > cap else []
-    n_max = min(n_max, cap)
-    return sweep("acyclic-oracle", "p in {2, 3}", (n_max, n_max), ("p", "n"), _dag_points(n_max), notes)
+    Past n_max = 4 the counter raises ``BudgetExceededError``."""
+    return sweep("acyclic-oracle", "p in {2, 3}", (n_max, n_max), ("p", "n"), _dag_points(n_max))
 
 
 def _volume_points(hi, n_max):

@@ -8,7 +8,8 @@ under a minute.
 
 from __future__ import annotations
 
-from tnomial.identities import vandermonde_terms
+from test_identities import vandermonde_terms
+
 from tnomial.report import IdentityReport
 from tnomial.sequences import SeqParams
 from tnomial.suites import (

@@ -430,6 +430,37 @@ class TestPartialFractions:
         with pytest.raises(DegenerateParametersError):
             coeff_partial_fractions(SeqParams(0, 2), 4, 2)
 
+    def test_negation_laws(self):
+        """The values at n < 0 against two laws: upper negation,
+        C(-n, k) = (-1)**k (pq)**-(nk + C(k, 2)) C(n + k - 1, k), read against
+        the recurrence triangle, and the triangle recurrence itself below 0."""
+        failures, checked = [], 0
+        for p, q in pq_grid():
+            if p * q == 0:
+                continue
+            params = SeqParams(p, q)
+            rows = list(triangle_rows(params, 10))
+            columns = {}  # k: {n: C(n, k)} for n = -6..0, where the nodes are distinct
+            for k in range(6):
+                try:
+                    columns[k] = dict(zip(range(-6, 1), partial_fraction_column(params, k, range(-6, 1))))
+                except DegenerateParametersError:
+                    continue
+            for k, column in columns.items():
+                for n in range(1, 7):
+                    negated = (-1) ** k * Fraction(rows[n + k - 1][k]) / Fraction(p * q) ** (n * k + k * (k - 1) // 2)
+                    checked += 1
+                    if column[-n] != negated:
+                        failures.append(("negation", p, q, n, k))
+                if k - 1 in columns:
+                    for n in range(-5, 1):
+                        recurrence = Fraction(p) ** (n - k) * columns[k - 1][n - 1] + Fraction(q) ** k * column[n - 1]
+                        checked += 1
+                        if column[n] != recurrence:
+                            failures.append(("recurrence", p, q, n, k))
+        assert failures == []
+        assert checked == 1788
+
     def test_matches_a_termwise_fraction_sum(self):
         """The one-denominator sum equals the partial fractions summed term
         by term in Fractions, negative n and k >= 2 included."""

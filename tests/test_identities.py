@@ -14,19 +14,18 @@ from tnomial.coefficients import coeff_partial_fractions, coeff_recurrence, coef
 from tnomial.errors import DegenerateParametersError
 from tnomial.identities import (
     _orthogonal_sums,
+    _vandermonde_at,
     alpha_fibonacci,
     binomial_like,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
-    fibonomial,
     gaussian_basis,
     gaussian_explicit,
     gaussian_inverse_entry,
-    vandermonde_terms,
 )
 from tnomial.report import sweep
-from tnomial.rings import BiPoly, QuadElem, XSeries
+from tnomial.rings import BiPoly, QuadElem, XSeries, exact_div
 from tnomial.sequences import SeqParams
 from tnomial.suites import fibonomial_suite, pq_grid
 
@@ -316,6 +315,28 @@ def _point_wise_orthogonal_sums(params, n, s, subset, multiset, rows):
         )
         sums.append(("reversed", reversed_form, 0))
     return sums
+
+
+def vandermonde_terms(params, n, m, k):
+    """The convolution terms of ``_vandermonde_at`` over rows 0..n+m: a test
+    reference, with the index check."""
+    if n < 0 or m < 0 or k < 0 or k > n + m:
+        raise ValueError("need 0 <= k <= n + m")
+    return _vandermonde_at(params, n, m, k, list(triangle_rows(params, n + m)))
+
+
+def fibonomial(alpha, n, k):
+    """Fibonomial coefficient, the ratio of generalized Fibonacci factorials:
+    a test reference for the suite's factorial list."""
+    if n < 0 or k < 0 or k > n:
+        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+    if alpha < 1:
+        raise ValueError("alpha must be a positive integer")
+    factorials, prev, cur = [1], 0, 1  # one walk: cur runs through f(1)..f(n)
+    for _ in range(n):
+        factorials.append(factorials[-1] * cur)
+        prev, cur = cur, alpha * cur + prev
+    return exact_div(factorials[n], factorials[k] * factorials[n - k])
 
 
 def _point_wise_vandermonde_terms(params, n, m, k):
