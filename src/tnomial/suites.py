@@ -330,7 +330,7 @@ def _fibonomial_points(alpha: int, n_max: int):
     fib = [alpha_fibonacci(alpha, i) for i in range(n_max + 2)]
     factorials = list(accumulate(fib[1 : n_max + 1], mul, initial=1))  # f(1)...f(i) at i
 
-    def coefficient(n: int, k: int) -> int:  # fibonomial(alpha, n, k), off one factorial list
+    def coefficient(n: int, k: int) -> int:  # the Fibonomial coefficient, off one factorial list
         return exact_div(factorials[n], factorials[k] * factorials[n - k])
 
     for n in range(2, n_max + 1):

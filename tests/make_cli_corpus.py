@@ -109,10 +109,7 @@ def run(argv: list[str]) -> dict:
     its exit code.  The caller sets ``COLUMNS=80``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(list(argv))
     return {"argv": list(argv), "stdout": _sha256(out), "stderr": _sha256(err), "exit": code}
 
 
