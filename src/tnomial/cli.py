@@ -102,13 +102,24 @@ def _cmd_coeff(args: SimpleNamespace, out) -> int:
     return 0
 
 
+def _cell_strings(row: list[int]) -> list[str]:
+    """``decimal_str`` of each cell of a triangle row, converting each
+    mirrored pair once: cell n - k reuses the string of cell k when both
+    are the same object, as ``triangle_rows`` shares them in a symmetric row."""
+    n = len(row) - 1
+    cells = []
+    for k, value in enumerate(row):
+        cells.append(cells[n - k] if n - k < k and row[n - k] is value else decimal_str(value))
+    return cells
+
+
 def _write_table_json(params: SeqParams, rows: Iterable[list[int]], out) -> None:
     """Write, one row at a time, the bytes that _emit(_dump_json(payload))
     gives for the payload {"p", "q", "rows", "scale"} of decimal strings."""
     out.write(f'{{\n  "p": {json.dumps(str(params.p))},\n  "q": {json.dumps(str(params.q))},\n  "rows": [')
     separator = "\n"
     for row in rows:
-        cells = ",\n      ".join(json.dumps(decimal_str(value)) for value in row)
+        cells = ",\n      ".join(map(json.dumps, _cell_strings(row)))
         out.write(f"{separator}    [\n      {cells}\n    ]")
         separator = ",\n"
     out.write(f'\n  ],\n  "scale": {json.dumps(str(params.scale))}\n}}\n')
@@ -121,7 +132,7 @@ def _cmd_table(args: SimpleNamespace, out) -> int:
     if args.format == "json":
         _write_table_json(params, rows, out)
     elif args.format == "csv":
-        cells = ((n, k, params.p, params.q, decimal_str(v)) for n, row in enumerate(rows) for k, v in enumerate(row))
+        cells = ((n, k, params.p, params.q, v) for n, row in enumerate(rows) for k, v in enumerate(_cell_strings(row)))
         _write_csv(TABLE_COLUMNS, cells, out)
     else:
         rows = list(rows)
@@ -130,7 +141,7 @@ def _cmd_table(args: SimpleNamespace, out) -> int:
         smallest = min(min(row) for row in rows)
         width = max(len(decimal_str(largest)), len(decimal_str(smallest)))
         for n, row in enumerate(rows):
-            cells = " ".join(decimal_str(value).rjust(width) for value in row)
+            cells = " ".join(cell.rjust(width) for cell in _cell_strings(row))
             _emit(f"n={n:<2d} {cells}", out)
     return 0
 

@@ -111,13 +111,15 @@ def _next_row_dense(prev: list[list[int]]) -> list[list[int]]:
     q**k * C(n-1, k) is C(n-1, k) with the same list.
     """
     n = len(prev)
-    row = [[1]]
-    for k in range(1, n):
-        a, b, shift = prev[k - 1], prev[k], n - k
-        overlap = [x + y for x, y in zip_longest(a, b[shift:], fillvalue=0)]
-        row.append(b[:shift] + [0] * (shift - len(b)) + overlap)
-    row.append([1])
+    row = [[1]] + [_next_entry_dense(prev[k - 1], prev[k], n - k) for k in range(1, n)] + [[1]]
     return _share_mirrored(row)
+
+
+def _next_entry_dense(left: list[int], right: list[int], shift: int) -> list[int]:
+    """Entry (m, j) in dense form from left = C(m-1, j-1) and right = C(m-1, j),
+    shift = m - j: right, plus left moved up by shift places."""
+    overlap = [x + y for x, y in zip_longest(left, right[shift:], fillvalue=0)]
+    return right[:shift] + [0] * (shift - len(right)) + overlap
 
 
 @cache
@@ -135,13 +137,28 @@ def _dense_row(n: int) -> list[list[int]]:
     return row
 
 
-@cache
-def _symbolic_entry(n: int, k: int) -> BiPoly:
-    """Entry (n, k) of the symbolic triangle as a ``BiPoly``, memoized; called
-    with valid indices only, and past the cache limit through ``__wrapped__``."""
-    dense = _dense_row(n)[k]
+def _dense_entry(n: int, k: int) -> list[int]:
+    """Entry (n, k) of the symbolic triangle in dense form, built from row 0
+    in the window j <= k, m - j <= n - k that it depends on (as in
+    ``coeff_recurrence``), where C(m - 1, m) = 0 is the empty list; nothing
+    is stored."""
+    window = [[1]] + [[]] * k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), max(1, k - (n - m)) - 1, -1):
+            window[j] = _next_entry_dense(window[j - 1], window[j], m - j)
+    return window[k]
+
+
+def _poly_of_dense(dense: list[int]) -> BiPoly:
     degree = len(dense) - 1
     return BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
+
+
+@cache
+def _symbolic_entry(n: int, k: int) -> BiPoly:
+    """Entry (n, k) of the symbolic triangle as a ``BiPoly``, for valid
+    indices with n <= _CACHE_LIMIT, memoized."""
+    return _poly_of_dense(_cached_dense_row(n)[k])
 
 
 def coeff_symbolic(n: int, k: int) -> BiPoly:
@@ -149,12 +166,13 @@ def coeff_symbolic(n: int, k: int) -> BiPoly:
 
     The rows are built in dense homogeneous form (``_next_row_dense``); the
     requested entry becomes a ``BiPoly`` once and, for n up to the cache
-    limit, is memoized.
+    limit, is memoized.  Past the limit only the entry's window is built
+    (``_dense_entry``), and neither it nor the entry is stored.
     """
     if 0 <= k <= n <= _CACHE_LIMIT:
         return _symbolic_entry(n, k)
     _check_indices(n, k)
-    return _symbolic_entry.__wrapped__(n, k)
+    return _poly_of_dense(_dense_entry(n, k))
 
 
 def symbolic_row(params: SeqParams, n: int) -> list[int]:

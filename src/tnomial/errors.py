@@ -13,7 +13,16 @@ class DivisibilityError(ArithmeticError):
     def __init__(self, numerator: int, denominator: int) -> None:
         self.numerator = numerator
         self.denominator = denominator
-        super().__init__(f"{numerator} is not exactly divisible by {denominator}")
+        super().__init__(f"{_operand(numerator)} is not exactly divisible by {_operand(denominator)}")
+
+
+def _operand(value: int) -> str:
+    """``str(value)``, or its bit length past the interpreter's limit on
+    int-to-str digits; the exact operands stay on the error."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
 
 
 class ParameterMismatchError(ValueError):

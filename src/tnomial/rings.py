@@ -13,14 +13,71 @@ from typing import Iterable, Mapping
 from .errors import DivisibilityError, ParameterMismatchError
 
 
+_TWO_ADIC_BITS = 150_000
+"""Quotients over this many bits by divisors over half as many bits are
+found 2-adically: CPython's ``divmod`` is quadratic in the operand sizes,
+and past this size (measured on CPython 3.11) a few Karatsuba products
+beat it."""
+
+
 def exact_div(a: int, b: int) -> int:
-    """Quotient a / b when b divides a exactly; DivisibilityError otherwise."""
+    """Quotient a / b when b divides a exactly; DivisibilityError otherwise.
+
+    A large quotient by a large divisor (see ``_TWO_ADIC_BITS``) is found
+    2-adically by ``_divide_2adic`` and multiplied back; any other by
+    ``divmod``.
+    """
     if b == 0:
         raise DivisibilityError(a, b)
+    divisor_bits = b.bit_length()
+    if min(a.bit_length() - divisor_bits, 2 * divisor_bits) > _TWO_ADIC_BITS:
+        quot = _divide_2adic(a, b)
+        if quot is None:
+            raise DivisibilityError(a, b)
+        return quot
     quot, rem = divmod(a, b)
     if rem:
         raise DivisibilityError(a, b)
     return quot
+
+
+def _inverse_2adic(b: int, bits: int) -> int:
+    """b**-1 modulo 2**bits for odd b, Newton-lifted from 64 bits: if
+    b x = 1 + 2**h e, then b x (1 - 2**h e) = 1 modulo 2**(2h), and only
+    e modulo 2**(bits - h) is needed."""
+    mask = (1 << bits) - 1
+    if bits <= 64:
+        return pow(b & mask, -1, 1 << bits)
+    h = (bits + 1) // 2
+    x = _inverse_2adic(b, h)
+    e = ((b & mask) * x >> h) & ((1 << (bits - h)) - 1)
+    return (x - (x * e << h)) & mask
+
+
+def _divide_2adic(a: int, b: int) -> int | None:
+    """a / b for b != 0 if b divides a exactly, else None, with products only.
+
+    Once the power of two in b is shifted out of both, an exact quotient
+    below 2**n is a / b modulo 2**n.  It is found in two halves with the
+    inverse of b modulo 2**h, h = ceil(n / 2) (Karp and Markstein): the low
+    half from the low h bits of a, the high half from the next bits of
+    a - low * b, which low makes divisible by 2**h.  When b does not divide
+    a, the same steps give some other number, so the quotient is multiplied
+    back and returned only if it gives a.
+    """
+    x, y = abs(a), abs(b)
+    twos = (y & -y).bit_length() - 1
+    x, y = x >> twos, y >> twos
+    n = max(x.bit_length() - y.bit_length() + 1, 1)
+    h = (n + 1) // 2
+    inverse = _inverse_2adic(y, h)
+    low = (x & ((1 << h) - 1)) * inverse & ((1 << h) - 1)
+    mask = (1 << n) - 1
+    rest = ((x & mask) - low * (y & mask) & mask) >> h
+    quot = low | (rest * inverse & ((1 << (n - h)) - 1)) << h
+    if (a < 0) != (b < 0):
+        quot = -quot
+    return quot if quot * b == a else None
 
 
 def _pow_str(var: str, exp: int) -> str:

@@ -232,6 +232,29 @@ class TestTable:
         assert rc == 0
         assert built == list(range(1, 21))
 
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_cells_not_shared_with_their_mirror(self, fmt, capsys, monkeypatch):
+        big = 10**30 + 7
+        twin = int(str(big))  # equal to big, another object
+        shared = -(10**25)
+        rows = [[1], [1, 1], [big, 5, twin], [1, 10**20, -3, 10**25], [2, shared, 9, shared, 2]]
+        assert twin is not big
+        monkeypatch.setattr(cli, "triangle_rows", lambda params, n_max: iter(rows))
+        rc, out, _ = run_cli("table", "--p", "2", "--q", "3", "--max", "4", "--format", fmt, capsys=capsys)
+        assert rc == 0
+        expected = [[str(value) for value in row] for row in rows]
+        if fmt == "json":
+            assert json.loads(out)["rows"] == expected
+        elif fmt == "csv":
+            cells = [(int(n), int(k), value) for n, k, _, _, value in list(csv.reader(io.StringIO(out)))[1:]]
+            assert cells == [(n, k, value) for n, row in enumerate(expected) for k, value in enumerate(row)]
+        else:
+            width = len(str(big))
+            assert out == "".join(
+                f"n={n:<2d} " + " ".join(value.rjust(width) for value in row) + "\n"
+                for n, row in enumerate(expected)
+            )
+
     def test_plain_width_from_most_negative_cell(self, capsys):
         # at (-3, 1) the widest cell, -15860, is the smallest value, not the largest
         params = SeqParams(-3, 1)

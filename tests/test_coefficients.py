@@ -297,6 +297,15 @@ class TestRewrittenRoutesAgainstReferences:
         assert coefficients._cached_dense_row.cache_info().currsize == 5
         assert coefficients._symbolic_entry.cache_info().currsize == 15  # the entries of rows 0..4
 
+    def test_symbolic_past_cache_limit_stores_nothing(self, monkeypatch):
+        clear_symbolic_memos()
+        rows = sparse_symbolic_rows(14)
+        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
+        assert [coeff_symbolic(14, k) for k in range(15)] == rows[14]
+        assert coeff_symbolic(9, 3) == rows[9][3]
+        assert coefficients._cached_dense_row.cache_info().currsize == 0
+        assert coefficients._symbolic_entry.cache_info().currsize == 0
+
 
 class TestLambdaSumsAgainstEnumeration:
     def test_subset_matches_brute_force(self):

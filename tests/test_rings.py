@@ -9,12 +9,15 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_sequences import geometric_series
+from tnomial import rings
+from tnomial.coefficients import coeff_factorial, coeff_product
 from tnomial.errors import DivisibilityError, ParameterMismatchError
-from tnomial.rings import BiPoly, QuadElem, XSeries, exact_div, series_product
+from tnomial.rings import BiPoly, QuadElem, XSeries, _divide_2adic, exact_div, series_product
+from tnomial.sequences import SeqParams
 
 small = st.integers(-6, 6)
 
@@ -44,6 +47,52 @@ class TestExactDiv:
     @given(small, small.filter(bool))
     def test_roundtrip(self, a, b):
         assert exact_div(a * b, b) == a
+
+    def test_error_past_the_digit_limit(self):
+        with pytest.raises(DivisibilityError) as excinfo:
+            exact_div(10**5000 + 1, 100)
+        assert excinfo.value.numerator == 10**5000 + 1
+        assert excinfo.value.denominator == 100
+        assert str(excinfo.value) == "<16610-bit integer> is not exactly divisible by 100"
+        assert str(DivisibilityError(-(10**5000), 7)).startswith("-<16610-bit integer> ")
+        assert str(DivisibilityError(7, 3)) == "7 is not exactly divisible by 3"
+
+    # Divisors d << t with odd d: even ones and, at d = +-1, powers of two.
+    @given(st.integers(-(10**40), 10**40), st.integers(-999, 999).filter(bool), st.integers(0, 70))
+    @example(0, 1, 0)
+    @example(0, -3, 5)
+    def test_2adic_agrees_with_divmod(self, a, odd, twos):
+        b = odd << twos
+        quot, rem = divmod(a, b)
+        assert _divide_2adic(a, b) == (None if rem else quot)
+        assert _divide_2adic(a * b, b) == a
+
+    @pytest.mark.parametrize("quotient_bits", (rings._TWO_ADIC_BITS - 8, rings._TWO_ADIC_BITS + 8))
+    def test_both_sides_of_the_size_test(self, quotient_bits, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append((a, b))
+            return _divide_2adic(a, b)
+
+        monkeypatch.setattr(rings, "_divide_2adic", spy)
+        quot = (1 << quotient_bits) - 12345
+        divisor = -((1 << (rings._TWO_ADIC_BITS // 2 + 8)) + 7) << 40
+        assert exact_div(quot * divisor, divisor) == quot
+        assert exact_div(-quot * divisor, divisor) == -quot
+        with pytest.raises(DivisibilityError) as excinfo:
+            exact_div(quot * divisor + (1 << 39), divisor)
+        assert excinfo.value.numerator == quot * divisor + (1 << 39)
+        assert excinfo.value.denominator == divisor
+        assert str(excinfo.value).endswith(f" is not exactly divisible by -<{divisor.bit_length()}-bit integer>")
+        assert len(calls) == (3 if quotient_bits > rings._TWO_ADIC_BITS else 0)
+
+    @pytest.mark.parametrize("p, q", ((3, 2), (2, -3)))
+    def test_factorial_route_past_the_size_test(self, p, q):
+        # The factorial route divides with exact_div, above _TWO_ADIC_BITS
+        # here; the product route takes its own divmod.
+        params = SeqParams(p, q)
+        assert coeff_factorial(params, 1000, 500) == coeff_product(params, 1000, 500)
 
 
 class TestBiPoly:
