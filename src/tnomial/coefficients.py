@@ -235,9 +235,9 @@ def coeff_product(params: SeqParams, n: int, k: int) -> int:
 
     For p != q each factor is (p**(n-i+1) - q**(n-i+1)) / (p**i - q**i);
     the numerators and the denominators are multiplied up as two integers,
-    and their quotient must come out exact (a remainder raises
-    DivisibilityError with the ratio in lowest terms).  On the diagonal
-    p = q the product collapses to comb(n, k) * p**(k*(n-k)).
+    and their quotient, taken by ``exact_div``, must come out exact (a
+    remainder raises DivisibilityError with the ratio in lowest terms).  On
+    the diagonal p = q the product collapses to comb(n, k) * p**(k*(n-k)).
     """
     _check_indices(n, k)
     p, q = params.p, params.q
@@ -252,10 +252,16 @@ def coeff_product(params: SeqParams, n: int, k: int) -> int:
             )
         numerator *= p ** (n - i + 1) - q ** (n - i + 1)
         denominator *= factor
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise DivisibilityError(*Fraction(numerator, denominator).as_integer_ratio())
-    return quotient
+    return _exact_ratio(numerator, denominator)
+
+
+def _exact_ratio(numerator: int, denominator: int) -> int:
+    """numerator / denominator by ``exact_div``; a remainder raises
+    DivisibilityError with the ratio in lowest terms."""
+    try:
+        return exact_div(numerator, denominator)
+    except DivisibilityError:
+        raise DivisibilityError(*Fraction(numerator, denominator).as_integer_ratio()) from None
 
 
 def product_row(params: SeqParams, n: int) -> list[int]:
@@ -274,10 +280,7 @@ def product_row(params: SeqParams, n: int) -> list[int]:
             break
         numerator *= p ** (n - k + 1) - q ** (n - k + 1)
         denominator *= factor
-        quotient, remainder = divmod(numerator, denominator)
-        if remainder:
-            raise DivisibilityError(*Fraction(numerator, denominator).as_integer_ratio())
-        row.append(quotient)
+        row.append(_exact_ratio(numerator, denominator))
     return row
 
 

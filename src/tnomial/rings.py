@@ -8,6 +8,7 @@ power series over any of those coefficient rings.
 
 from __future__ import annotations
 
+from operator import itemgetter, sub
 from typing import Iterable, Mapping
 
 from .errors import DivisibilityError, ParameterMismatchError
@@ -118,10 +119,11 @@ class BiPoly(_RingElement):
     Sparse representation: a map from exponent pairs ``(i, j)``, standing
     for ``p**i * q**j``, to nonzero coefficients.  The map is canonical
     (zero coefficients are never stored), so structural equality of the
-    maps is polynomial equality.  Instances are immutable.
+    maps is polynomial equality.  Instances are immutable; the first
+    ``eval`` of one keeps its Horner plan for the later ones.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None) -> None:
         clean: dict[tuple[int, int], int] = {}
@@ -132,6 +134,10 @@ class BiPoly(_RingElement):
                 if coeff:
                     clean[(i, j)] = coeff
         self._terms = clean
+        self._plan = None
+
+    def __reduce__(self):
+        return BiPoly, (self._terms,)
 
     @classmethod
     def zero(cls) -> BiPoly:
@@ -225,19 +231,41 @@ class BiPoly(_RingElement):
     def eval(self, p0: int, q0: int) -> int:
         """Exact evaluation at integer arguments: Horner in p over the distinct
         p-degrees, each q-power built once.  Both step by ``pow`` over the gaps
-        between degrees that occur, so a sparse high power costs one ``pow``."""
-        q_powers, power, last = {}, 1, 0
-        for j in sorted({j for _, j in self._terms}):
-            power *= q0 ** (j - last)
-            q_powers[j], last = power, j
-        terms = sorted(self._terms.items(), reverse=True)
-        acc, last = 0, terms[0][0][0] if terms else 0
-        for (i, j), coeff in terms:
-            if i != last:
-                acc *= p0 ** (last - i)
-                last = i
-            acc += coeff * q_powers[j]
+        between degrees that occur, so a sparse high power costs one ``pow``;
+        a gap of 1, the usual one, is a plain product.  The steps come from
+        the plan built on the first call and kept (``_horner_plan``)."""
+        if self._plan is None:
+            self._plan = self._horner_plan()
+        q_gaps, p_gaps, coeffs, q_slots, last = self._plan
+        power = 1
+        q_powers = [power := power * (q0 if gap == 1 else q0**gap) for gap in q_gaps]
+        acc = 0
+        for gap, coeff, slot in zip(p_gaps, coeffs, q_slots):
+            acc = (acc * p0 if gap == 1 else acc * p0**gap) + coeff * q_powers[slot]
         return acc * p0**last
+
+    def _horner_plan(self) -> tuple:
+        """The gaps between the distinct q-degrees, from 0 up; then, per term
+        in descending p-degree, its p-gap from the term before, its
+        coefficient and the index of its q-degree among the distinct ones,
+        as three tuples; and the last p-degree.  When the distinct q-degrees
+        are 0..d, as in every triangle entry, each is its own index, so the
+        plan shares the polynomial's own exponents and coefficients."""
+        keys = sorted(self._terms, reverse=True)
+        if not keys:
+            return (), (), (), (), 0
+        p_degrees = tuple(map(itemgetter(0), keys))
+        q_degrees = tuple(map(itemgetter(1), keys))
+        distinct = sorted(set(q_degrees))
+        if distinct[-1] != len(distinct) - 1:
+            q_degrees = tuple(map(dict(zip(distinct, range(len(distinct)))).__getitem__, q_degrees))
+        return (
+            tuple(map(sub, distinct, [0, *distinct])),
+            tuple(map(sub, p_degrees[:1] + p_degrees, p_degrees)),
+            tuple(map(self._terms.__getitem__, keys)),
+            q_degrees,
+            p_degrees[-1],
+        )
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
         """Terms in canonical display order: lexicographic on the exponent

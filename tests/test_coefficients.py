@@ -306,6 +306,16 @@ class TestRewrittenRoutesAgainstReferences:
         assert coefficients._cached_dense_row.cache_info().currsize == 0
         assert coefficients._symbolic_entry.cache_info().currsize == 0
 
+    def test_memoized_entry_plans_only_when_evaluated(self):
+        clear_symbolic_memos()
+        entry, mirror = coeff_symbolic(45, 23), coeff_symbolic(45, 22)
+        assert entry == mirror and hash(entry) == hash(mirror) and str(entry) == str(mirror)
+        assert entry.terms == mirror.terms
+        assert entry._plan is None and mirror._plan is None
+        assert entry.eval(2, 3) == coeff_recurrence(params_23, 45, 23)
+        assert coeff_symbolic(45, 23) is entry and entry._plan is not None
+        assert mirror._plan is None
+
 
 class TestLambdaSumsAgainstEnumeration:
     def test_subset_matches_brute_force(self):

@@ -3,7 +3,10 @@ ring elements and truncated series."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_sequences import geometric_series
-from tnomial import rings
+from tnomial import coefficients, rings
 from tnomial.coefficients import coeff_factorial, coeff_product
 from tnomial.errors import DivisibilityError, ParameterMismatchError
 from tnomial.rings import BiPoly, QuadElem, XSeries, _divide_2adic, exact_div, series_product
@@ -88,11 +91,25 @@ class TestExactDiv:
         assert len(calls) == (3 if quotient_bits > rings._TWO_ADIC_BITS else 0)
 
     @pytest.mark.parametrize("p, q", ((3, 2), (2, -3)))
-    def test_factorial_route_past_the_size_test(self, p, q):
-        # The factorial route divides with exact_div, above _TWO_ADIC_BITS
-        # here; the product route takes its own divmod.
+    def test_factorial_route_past_the_size_test(self, p, q, monkeypatch):
+        # Both routes divide with exact_div, above _TWO_ADIC_BITS here.
+        calls = []
+
+        def spy(a, b):
+            calls.append(b.bit_length())
+            return _divide_2adic(a, b)
+
+        monkeypatch.setattr(rings, "_divide_2adic", spy)
         params = SeqParams(p, q)
         assert coeff_factorial(params, 1000, 500) == coeff_product(params, 1000, 500)
+        assert len(calls) == 2
+
+    def test_product_quotient_error_in_lowest_terms(self):
+        assert coefficients._exact_ratio(-84, 12) == -7
+        with pytest.raises(DivisibilityError) as excinfo:
+            coefficients._exact_ratio(10, -4)
+        assert (excinfo.value.numerator, excinfo.value.denominator) == (-5, 2)
+        assert excinfo.value.__suppress_context__
 
 
 class TestBiPoly:
@@ -179,10 +196,67 @@ class TestBiPoly:
         assert poly.eval(p0, q0) == self._term_sum(poly, p0, q0)
 
     def test_eval_sparse_high_power_costs_one_pow(self):
-        start = time.perf_counter()
-        value = BiPoly.monomial(100000, 100000).eval(3, -2)
-        assert time.perf_counter() - start < 0.5
-        assert value == 3**100000 * (-2) ** 100000
+        poly = BiPoly.monomial(100000, 100000)
+        for p0, q0 in ((3, -2), (-2, 3)):
+            start = time.perf_counter()
+            value = poly.eval(p0, q0)
+            assert time.perf_counter() - start < 0.5
+            assert value == p0**100000 * q0**100000
+
+    @given(
+        st.dictionaries(st.tuples(st.integers(0, 30), st.integers(0, 30)), st.integers(-9, 9), max_size=8).map(BiPoly),
+        small,
+        small,
+        small,
+        small,
+    )
+    @example(BiPoly({(0, 0): 2, (3, 1): -1, (3, 4): 5, (7, 0): 1}), 0, -3, -2, 0)
+    def test_second_point_reuses_the_plan(self, poly, p0, q0, p1, q1):
+        assert poly.eval(p0, q0) == self._term_sum(poly, p0, q0)
+        assert poly.eval(p1, q1) == self._term_sum(poly, p1, q1)
+
+    def test_plan_leaves_the_value_alone(self):
+        terms = {(4, 1): 3, (2, 2): -1, (0, 5): 7, (2, 0): 2}
+        evaluated, fresh = BiPoly(terms), BiPoly(terms)
+        evaluated.eval(2, -3)
+        assert evaluated._plan is not None and fresh._plan is None
+        assert evaluated == fresh and hash(evaluated) == hash(fresh)
+        assert str(evaluated) == str(fresh) and repr(evaluated) == repr(fresh)
+        assert pickle.dumps(evaluated) == pickle.dumps(fresh)
+        for copied in (pickle.loads(pickle.dumps(evaluated)), copy.copy(evaluated), copy.deepcopy(evaluated)):
+            assert copied == fresh and hash(copied) == hash(fresh) and str(copied) == str(fresh)
+            assert copied.eval(-1, 4) == evaluated.eval(-1, 4) == self._term_sum(fresh, -1, 4)
+
+    def test_plan_of_a_triangle_entry_is_compact(self):
+        # q-degrees 0..900, as in a triangle entry: each is its own index,
+        # so the plan holds references only, no number of its own per term.
+        terms = {(a, 900 - a): 3 * a + 1 for a in range(901)}
+        tracemalloc.start()
+        try:
+            poly = BiPoly(terms)
+            own = tracemalloc.get_traced_memory()[0]
+            assert poly.eval(2, 3) == self._term_sum(poly, 2, 3)
+            plan = tracemalloc.get_traced_memory()[0] - own
+        finally:
+            tracemalloc.stop()
+        assert 0 < plan < 0.4 * own
+
+    def test_plan_built_once_per_instance(self, monkeypatch):
+        calls = []
+        build = BiPoly._horner_plan
+
+        def spy(poly):
+            calls.append(poly)
+            return build(poly)
+
+        monkeypatch.setattr(BiPoly, "_horner_plan", spy)
+        first, second = BiPoly({(3, 2): 5, (0, 1): -2}), BiPoly({(1, 1): 1})
+        for p0, q0 in ((2, 3), (0, -1), (-4, 0)):
+            assert first.eval(p0, q0) == 5 * p0**3 * q0**2 - 2 * q0
+        assert calls == [first]
+        second.eval(1, 2)
+        second.eval(1, 2)
+        assert calls == [first, second]
 
     @given(bipolys, st.integers(0, 5))
     def test_pow_matches_repeated_product(self, a, e):
