@@ -26,11 +26,12 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
-from .rings import BiPoly, exact_div
+from .rings import BiPoly, balanced_product, exact_div
 from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
 _CACHE_LIMIT = 128  # memoized rows per triangle; rows past it are rebuilt, not cached
 _MAX_PAIRS = 64
+_SUBSET_SPLIT_BOXES = 64  # fewest boxes the subset sum splits in halves (measured crossover)
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -234,25 +235,25 @@ def coeff_product(params: SeqParams, n: int, k: int) -> int:
     """C(n, k) as the product over i = 1..k of the term ratios.
 
     For p != q each factor is (p**(n-i+1) - q**(n-i+1)) / (p**i - q**i);
-    the numerators and the denominators are multiplied up as two integers,
-    and their quotient, taken by ``exact_div``, must come out exact (a
-    remainder raises DivisibilityError with the ratio in lowest terms).  On
-    the diagonal p = q the product collapses to comb(n, k) * p**(k*(n-k)).
+    the k numerators and the k denominators are each multiplied as a
+    balanced tree by ``rings.balanced_product``, and their quotient, taken
+    by ``exact_div``, must come out exact (a remainder raises
+    DivisibilityError with the ratio in lowest terms).  A vanishing
+    p**i - q**i raises DegenerateParametersError naming the first such i.
+    On the diagonal p = q the product collapses to comb(n, k) * p**(k*(n-k)).
     """
     _check_indices(n, k)
     p, q = params.p, params.q
     if p == q:
         return comb(n, k) * p ** (k * (n - k))
-    numerator = denominator = 1
-    for i in range(1, k + 1):
-        factor = p**i - q**i
-        if factor == 0:
-            raise DegenerateParametersError(
-                f"p**{i} == q**{i} for p={p}, q={q}: product route undefined"
-            )
-        numerator *= p ** (n - i + 1) - q ** (n - i + 1)
-        denominator *= factor
-    return _exact_ratio(numerator, denominator)
+    denominators = [p**i - q**i for i in range(1, k + 1)]
+    if 0 in denominators:
+        i = denominators.index(0) + 1
+        raise DegenerateParametersError(
+            f"p**{i} == q**{i} for p={p}, q={q}: product route undefined"
+        )
+    numerators = [p ** (n - i + 1) - q ** (n - i + 1) for i in range(1, k + 1)]
+    return _exact_ratio(balanced_product(numerators), balanced_product(denominators))
 
 
 def _exact_ratio(numerator: int, denominator: int) -> int:
@@ -325,31 +326,41 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
     """Sum of weight products over all k-subsets of the n box weights.
 
     Evaluates sum over 1 <= b_1 < ... < b_k <= n of w(b_1) * ... * w(b_k)
-    by the elementary recursion e(i, j) = e(i-1, j) + w_i * e(i-1, j-1);
-    the value equals C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
+    grouped by the number j of chosen boxes among the first h = n // 2:
+    e_k = sum over j of e_j(first h weights) * e_(k-j)(last n - h weights),
+    each half by its own elementary recursion (``_elementary_sums``), so the
+    second half starts again from small j.  Below ``_SUBSET_SPLIT_BOXES``
+    boxes h = 0, one band over all of them, which costs less there.  The
+    value equals C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
     """
-    return _elementary_sums(params, n, k, k)[k]
+    if n < 0 or k < 0:
+        raise ValueError("indices must be nonnegative")
+    weights = box_weights(params, n)
+    h = n // 2 if n >= _SUBSET_SPLIT_BOXES else 0
+    lo, hi = max(0, k - (n - h)), min(h, k)
+    left = _elementary_sums(weights[:h], hi, lo)[lo : hi + 1]
+    right = _elementary_sums(weights[h:], k - lo, k - hi)[k - hi : k - lo + 1]
+    return sum(map(mul, left, reversed(right)))
 
 
 def lambda_subset_row(params: SeqParams, n: int) -> list[int]:
     """e_0..e_n of the n box weights: entry k equals ``coeff_lambda_subset``."""
-    return _elementary_sums(params, n, n, 0)
-
-
-def _elementary_sums(params: SeqParams, n: int, k: int, low: int) -> list[int]:
-    """e_0..e_k of the n box weights, in one pass over the boxes; only the
-    entries j >= low are final.
-
-    After box i only the band j in [max(1, low - (n - i)), min(i, k)] is
-    updated: e(i, j) is still 0 above it, and below it e(i, j) can no longer
-    reach e(n, low), since each of the n - i boxes left raises j by at most 1.
-    """
-    if n < 0 or k < 0:
+    if n < 0:
         raise ValueError("indices must be nonnegative")
-    e = [0] * (k + 1)
-    e[0] = 1
-    for i, w in enumerate(box_weights(params, n), 1):
-        for j in range(min(i, k), max(1, low - (n - i)) - 1, -1):
+    return _elementary_sums(box_weights(params, n), n, 0)
+
+
+def _elementary_sums(weights: list[int], k: int, low: int) -> list[int]:
+    """e_0..e_k of the weights, in one pass; only the entries j >= low are final.
+
+    After weight i of m only the band j in [max(1, low - (m - i)), min(i, k)]
+    is updated: e(i, j) is still 0 above it, and an entry below it can no
+    longer reach e(m, low): each of the m - i weights left raises j by at most 1.
+    """
+    m = len(weights)
+    e = [1] + [0] * k
+    for i, w in enumerate(weights, 1):
+        for j in range(min(i, k), max(1, low - (m - i)) - 1, -1):
             e[j] += w * e[j - 1]
     return e
 

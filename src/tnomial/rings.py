@@ -8,8 +8,9 @@ power series over any of those coefficient rings.
 
 from __future__ import annotations
 
+from math import prod
 from operator import itemgetter, sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DivisibilityError, ParameterMismatchError
 
@@ -79,6 +80,16 @@ def _divide_2adic(a: int, b: int) -> int | None:
     if (a < 0) != (b < 0):
         quot = -quot
     return quot if quot * b == a else None
+
+
+def balanced_product(values: Sequence[int]) -> int:
+    """Product of the values as a balanced tree of halves, so that the big
+    multiplications pair operands of similar size (Bernstein's product
+    tree); runs of up to 16 values go to ``math.prod``, as cheap as a loop."""
+    if len(values) <= 16:
+        return prod(values)
+    mid = len(values) // 2
+    return balanced_product(values[:mid]) * balanced_product(values[mid:])
 
 
 def _pow_str(var: str, exp: int) -> str:

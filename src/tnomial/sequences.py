@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rings import exact_div
+from .rings import balanced_product, exact_div
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,8 @@ def term_factorial(params: SeqParams, n: int) -> int:
 
 
 def _term_product(params: SeqParams, lo: int, hi: int) -> int:
-    """Product of the terms lo..hi-1 as a balanced tree of halves, so that
-    the big multiplications pair operands of similar size.  Leaves of up to
-    16 terms are multiplied in order, which keeps short products as cheap
-    as a plain loop."""
-    if hi - lo <= 16:
-        out = 1
-        for i in range(lo, hi):
-            out *= term_closed(params, i)
-        return out
-    mid = (lo + hi) // 2
-    return _term_product(params, lo, mid) * _term_product(params, mid, hi)
+    """Product of the terms lo..hi-1 by ``rings.balanced_product``."""
+    return balanced_product([term_closed(params, i) for i in range(lo, hi)])
 
 
 def compositions_of(n: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -253,6 +253,15 @@ class TestRewrittenRoutesAgainstReferences:
             assert outcome(coeff_product, params, n, k) == expected, (params, n, k)
 
     def test_subset_band_matches_the_full_loop(self):
+        # big entries whose two halves both carry a band, one of them an odd split
+        big = [(SeqParams(2, 3), 101, 50), (SeqParams(-3, 2), 120, 61), (SeqParams(3, -2), 65, 33)]
+        for params, n, k in self.small_grid + [(params_23, -1, 0)] + big:
+            expected = outcome(full_subset_sum, params, n, k)
+            assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)
+
+    def test_subset_split_at_every_n_matches_the_full_loop(self, monkeypatch):
+        # the halves' edge cases (k = 0, k = n, k > n, an empty first half)
+        monkeypatch.setattr(coefficients, "_SUBSET_SPLIT_BOXES", 0)
         for params, n, k in self.small_grid + [(params_23, -1, 0)]:
             expected = outcome(full_subset_sum, params, n, k)
             assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from math import prod
 from operator import mul
 
 import pytest
@@ -19,7 +20,15 @@ from test_sequences import geometric_series
 from tnomial import coefficients, rings
 from tnomial.coefficients import coeff_factorial, coeff_product
 from tnomial.errors import DivisibilityError, ParameterMismatchError
-from tnomial.rings import BiPoly, QuadElem, XSeries, _divide_2adic, exact_div, series_product
+from tnomial.rings import (
+    BiPoly,
+    QuadElem,
+    XSeries,
+    _divide_2adic,
+    balanced_product,
+    exact_div,
+    series_product,
+)
 from tnomial.sequences import SeqParams
 
 small = st.integers(-6, 6)
@@ -110,6 +119,25 @@ class TestExactDiv:
             coefficients._exact_ratio(10, -4)
         assert (excinfo.value.numerator, excinfo.value.denominator) == (-5, 2)
         assert excinfo.value.__suppress_context__
+
+
+class TestBalancedProduct:
+    @pytest.mark.parametrize("size", [0, 1, 16, 17, 33])
+    def test_matches_math_prod(self, size):
+        values = [(-1) ** i * (3**i + 7) for i in range(size)]
+        assert balanced_product(values) == prod(values)
+        assert balanced_product(tuple(values)) == prod(values)
+
+    @pytest.mark.parametrize("size", [1, 16, 17, 33])
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_zero_factor(self, size, at):
+        values = [-5] * size
+        values[at] = 0
+        assert balanced_product(values) == prod(values) == 0
+
+    @given(st.lists(st.integers(-(10**30), 10**30), max_size=70))
+    def test_matches_math_prod_on_any_list(self, values):
+        assert balanced_product(values) == prod(values)
 
 
 class TestBiPoly:
