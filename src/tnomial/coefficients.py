@@ -18,12 +18,13 @@ exactly and the others never see it.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import zip_longest
 from math import comb
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, balanced_product, exact_div
@@ -50,75 +51,85 @@ def _share_mirrored(row: list) -> list:
     return row
 
 
-def _next_row(prev: list[int], p: int, q: int) -> list[int]:
-    n = len(prev)
-    row = [1]
-    for k in range(1, n):
-        row.append(p ** (n - k) * prev[k - 1] + q**k * prev[k])
-    row.append(1)
-    return _share_mirrored(row)
+def _next_row(prev: list, step: Callable) -> list:
+    """Row m = len(prev) of a triangle from row m - 1: the edges are the
+    unit prev[0], the entries in between come from ``step(prev, m, 1, m - 1)``."""
+    m = len(prev)
+    return _share_mirrored([prev[0], *step(prev, m, 1, m - 1), prev[0]])
+
+
+def _walk_window(row: list, n: int, k: int, zero: object, step: Callable) -> object:
+    """C(n, k) from ``row``, row len(row) - 1 of the triangle, by ``step``:
+    each later row m is built only in the window j <= k, m - j <= n - k that
+    C(n, k) depends on, in place, from the previous window and the edges,
+    the unit and C(m - 1, m) = ``zero``.  Nothing is stored."""
+    window = row[: k + 1] + [zero] * (k + 1 - len(row))
+    for m in range(len(row), n + 1):
+        lo, hi = max(1, k - (n - m)), min(m, k)
+        window[lo : hi + 1] = step(window, m, lo, hi)
+    return window[k]
+
+
+def _rows_from(row: list, n_max: int, step: Callable) -> Iterator[list]:
+    """``row``, then each later row of its triangle up to row n_max, built
+    from the one before by ``step`` and not stored."""
+    yield row
+    for _ in range(len(row), n_max + 1):
+        row = _next_row(row, step)
+        yield row
+
+
+def _int_step(p: int, q: int, prev: list[int], m: int, lo: int, hi: int) -> list[int]:
+    """The integer step, bound to (p, q) by ``partial``: entries lo..hi of row
+    m from row m - 1, each C(m, j) = p**(m-j) * C(m-1, j-1) + q**j * C(m-1, j)."""
+    entries = []
+    for j in range(lo, hi + 1):
+        entries.append(p ** (m - j) * prev[j - 1] + q**j * prev[j])
+    return entries
 
 
 @lru_cache(maxsize=_MAX_PAIRS * (_CACHE_LIMIT + 1))
 def _row(p: int, q: int, n: int) -> list[int]:
     """Row n <= _CACHE_LIMIT of the (p, q) triangle, memoized; callers must not mutate it."""
-    return [1] if n == 0 else _next_row(_row(p, q, n - 1), p, q)
+    return [1] if n == 0 else _next_row(_row(p, q, n - 1), partial(_int_step, p, q))
 
 
 def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
     """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k).
 
-    Rows up to the cache limit are memoized whole.  Past the last cached
-    row m0, C(n, k) depends only on the entries (m, j) with j <= k and
-    m - j <= n - k, so each row m > m0 is built only in its window
-    j in [max(0, k - (n - m)), min(m, k)], in place and from the top down;
-    every entry the recurrence reads is either in the previous window or
-    one of the constant edges C(m, 0) = 1 and C(m - 1, m) = 0.
+    Rows up to the cache limit are memoized whole; past the last cached row
+    only the window that C(n, k) depends on is built (``_walk_window``).
     """
     p, q = params.p, params.q
     if 0 <= k <= n <= _CACHE_LIMIT:
         return _row(p, q, n)[k]
     _check_indices(n, k)
-    window = _row(p, q, _CACHE_LIMIT)[: k + 1]
-    window += [0] * (k + 1 - len(window))
-    for m in range(_CACHE_LIMIT + 1, n + 1):
-        for j in range(min(m, k), max(1, k - (n - m)) - 1, -1):
-            window[j] = p ** (m - j) * window[j - 1] + q**j * window[j]
-    return window[k]
+    return _walk_window(_row(p, q, _CACHE_LIMIT), n, k, 0, partial(_int_step, p, q))
 
 
 def triangle_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
-    """Rows 0..n_max of the triangle, in order, by the same recurrence.
-
-    Rows within the cache limit come from the memoized rows; each row past
-    it is built once from the row before, so the cost is linear in the rows
-    yielded.  The yielded lists may be shared with the cache: do not mutate
-    them.
-    """
+    """Rows 0..n_max of the triangle, in order, by the same recurrence: the
+    memoized rows, then each row past the cache limit built once from the
+    row before (``_rows_from``), so the cost is linear in the rows yielded.
+    The yielded lists may be shared with the cache: do not mutate them."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    p, q = params.p, params.q
-    for n in range(n_max + 1):
-        row = _row(p, q, n) if n <= _CACHE_LIMIT else _next_row(row, p, q)
-        yield row
+    p, q, last = params.p, params.q, min(n_max, _CACHE_LIMIT)
+    yield from map(partial(_row, p, q), range(last))
+    yield from _rows_from(_row(p, q, last), n_max, partial(_int_step, p, q))
 
 
-def _next_row_dense(prev: list[list[int]]) -> list[list[int]]:
-    """The next row of the symbolic triangle in dense homogeneous form.
-
-    Entry k of row n is C(n, k), homogeneous of degree d = k(n-k), stored as
-    the list of its coefficients of p**a * q**(d-a) for a = 0..d.  Then
-    p**(n-k) * C(n-1, k-1) is C(n-1, k-1) shifted up by n - k places, and
-    q**k * C(n-1, k) is C(n-1, k) with the same list.
-    """
-    n = len(prev)
-    row = [[1]] + [_next_entry_dense(prev[k - 1], prev[k], n - k) for k in range(1, n)] + [[1]]
-    return _share_mirrored(row)
+def _dense_step(prev: list[list[int]], m: int, lo: int, hi: int) -> list[list[int]]:
+    """The symbolic step: entries lo..hi of row m in dense homogeneous form,
+    entry (m, j), of degree d = j(m-j), being the list of its coefficients of
+    p**a * q**(d-a), a = 0..d (``_next_entry_dense``)."""
+    return [_next_entry_dense(prev[j - 1], prev[j], m - j) for j in range(lo, hi + 1)]
 
 
 def _next_entry_dense(left: list[int], right: list[int], shift: int) -> list[int]:
     """Entry (m, j) in dense form from left = C(m-1, j-1) and right = C(m-1, j),
-    shift = m - j: right, plus left moved up by shift places."""
+    shift = m - j: q**j * right is right's list, and p**(m-j) * left is left
+    moved up by shift places."""
     overlap = [x + y for x, y in zip_longest(left, right[shift:], fillvalue=0)]
     return right[:shift] + [0] * (shift - len(right)) + overlap
 
@@ -126,28 +137,7 @@ def _next_entry_dense(left: list[int], right: list[int], shift: int) -> list[int
 @cache
 def _cached_dense_row(n: int) -> list[list[int]]:
     """Row n <= _CACHE_LIMIT of the symbolic triangle in dense form, memoized."""
-    return [[1]] if n == 0 else _next_row_dense(_cached_dense_row(n - 1))
-
-
-def _dense_row(n: int) -> list[list[int]]:
-    """Row n of the symbolic triangle in dense homogeneous form; rows past
-    the cache limit are rebuilt from the last memoized one, not stored."""
-    row = _cached_dense_row(min(n, _CACHE_LIMIT))
-    for _ in range(_CACHE_LIMIT, n):
-        row = _next_row_dense(row)
-    return row
-
-
-def _dense_entry(n: int, k: int) -> list[int]:
-    """Entry (n, k) of the symbolic triangle in dense form, built from row 0
-    in the window j <= k, m - j <= n - k that it depends on (as in
-    ``coeff_recurrence``), where C(m - 1, m) = 0 is the empty list; nothing
-    is stored."""
-    window = [[1]] + [[]] * k
-    for m in range(1, n + 1):
-        for j in range(min(m, k), max(1, k - (n - m)) - 1, -1):
-            window[j] = _next_entry_dense(window[j - 1], window[j], m - j)
-    return window[k]
+    return [[1]] if n == 0 else _next_row(_cached_dense_row(n - 1), _dense_step)
 
 
 def _poly_of_dense(dense: list[int]) -> BiPoly:
@@ -165,15 +155,15 @@ def _symbolic_entry(n: int, k: int) -> BiPoly:
 def coeff_symbolic(n: int, k: int) -> BiPoly:
     """C(n, k) as a polynomial in Z[p, q] via the same triangle recurrence.
 
-    The rows are built in dense homogeneous form (``_next_row_dense``); the
-    requested entry becomes a ``BiPoly`` once and, for n up to the cache
-    limit, is memoized.  Past the limit only the entry's window is built
-    (``_dense_entry``), and neither it nor the entry is stored.
+    The integer triangle's row builder and window walker run with the dense
+    step ``_dense_step``.  Rows up to the cache limit are memoized, and
+    so is the requested entry as a ``BiPoly``; past the limit only the
+    entry's window is built, from row 0, and nothing is stored.
     """
     if 0 <= k <= n <= _CACHE_LIMIT:
         return _symbolic_entry(n, k)
     _check_indices(n, k)
-    return _poly_of_dense(_dense_entry(n, k))
+    return _poly_of_dense(_walk_window([[1]], n, k, [], _dense_step))
 
 
 def symbolic_row(params: SeqParams, n: int) -> list[int]:
@@ -182,7 +172,7 @@ def symbolic_row(params: SeqParams, n: int) -> list[int]:
     by homogeneous Horner acc = acc * p + c_a * q**(d-a), a = d..0."""
     _check_indices(n, 0)
     p, q = params.p, params.q
-    row = _dense_row(n)
+    row = deque(_rows_from(_cached_dense_row(min(n, _CACHE_LIMIT)), n, _dense_step), maxlen=1).pop()
     q_powers = [q**i for i in range(max(map(len, row)))]
     values = []
     for dense in row:

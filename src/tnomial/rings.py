@@ -151,10 +151,6 @@ class BiPoly(_RingElement):
         return BiPoly, (self._terms,)
 
     @classmethod
-    def zero(cls) -> BiPoly:
-        return cls()
-
-    @classmethod
     def one(cls) -> BiPoly:
         return cls.from_int(1)
 
@@ -278,27 +274,15 @@ class BiPoly(_RingElement):
             p_degrees[-1],
         )
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int], int]]:
-        """Terms in canonical display order: lexicographic on the exponent
-        pair (p-degree, q-degree), leading term first."""
-        return sorted(self._terms.items(), key=lambda item: item[0], reverse=True)
-
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        rendered: list[tuple[str, str]] = []
-        for (i, j), coeff in self.sorted_terms():
-            mono = "*".join(s for s in (_pow_str("p", i), _pow_str("q", j)) if s)
-            if mono:
-                body = mono if abs(coeff) == 1 else f"{abs(coeff)}*{mono}"
-            else:
-                body = str(abs(coeff))
-            rendered.append(("-" if coeff < 0 else "+", body))
-        sign, first = rendered[0]
-        out = ("-" if sign == "-" else "") + first
-        for sign, body in rendered[1:]:
-            out += f" {sign} {body}"
-        return out
+        """Terms lexicographic on (p-degree, q-degree), leading term first."""
+        out = ""
+        for (i, j), coeff in sorted(self._terms.items(), reverse=True):
+            size = str(abs(coeff)) if abs(coeff) != 1 or i == j == 0 else ""
+            body = "*".join(s for s in (size, _pow_str("p", i), _pow_str("q", j)) if s)
+            sign = "-" if coeff < 0 else "+"
+            out += f" {sign} {body}" if out else ("-" + body if coeff < 0 else body)
+        return out or "0"
 
     def __repr__(self) -> str:
         return f"BiPoly({self._terms!r})"
@@ -373,10 +357,6 @@ class QuadElem(_RingElement):
         )
 
     __rmul__ = __mul__
-
-    def conjugate(self) -> QuadElem:
-        """Ring conjugate: swaps t and alpha - t."""
-        return QuadElem(self.a + self.alpha * self.b, -self.b, self.alpha)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadElem):

@@ -128,11 +128,11 @@ def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> 
     product, subset, multiset and symbolic routes as one row per (p, q, n),
     the partial-fraction route as one column per (p, q, k).  Per-route
     preconditions: the factorial ratio needs all terms up to n nonzero; the
-    product and partial-fraction routes need non-coincident
-    denominators/nodes and are skipped where degenerate.  The subset sum
-    is compared multiplicatively as subset = C(n, k) * (pq)**C(k,2), the
-    multiset sum as C(n + k - 1, k), and the symbolic polynomial through
-    integer evaluation.
+    product and partial-fraction routes need non-coincident denominators or
+    nodes and are skipped where degenerate.  The subset sum is compared as
+    C(n, k) * (pq)**C(k,2), the multiset sum as C(n + k - 1, k), and the
+    symbolic polynomial by evaluation; it shares the recurrence's loops, so
+    that point checks the symbolic step and the evaluation, not the loop.
     """
     if grid is None:
         grid = pq_grid()

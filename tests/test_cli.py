@@ -221,9 +221,9 @@ class TestTable:
         built = []
         next_row = coefficients._next_row
 
-        def counting_next_row(prev, p, q):
+        def counting_next_row(prev, step):
             built.append(len(prev))
-            return next_row(prev, p, q)
+            return next_row(prev, step)
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         coefficients._row.cache_clear()

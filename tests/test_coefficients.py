@@ -197,9 +197,9 @@ class TestInverseRoute:
         built = []
         next_row = coefficients._next_row
 
-        def counting_next_row(prev, p, q):
+        def counting_next_row(prev, step):
             built.append(len(prev))
-            return next_row(prev, p, q)
+            return next_row(prev, step)
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         coefficients._row.cache_clear()
@@ -280,9 +280,9 @@ class TestRewrittenRoutesAgainstReferences:
         built = []
         next_row = coefficients._next_row
 
-        def counting_next_row(prev, p, q):
+        def counting_next_row(prev, step):
             built.append(len(prev))
-            return next_row(prev, p, q)
+            return next_row(prev, step)
 
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         coefficients._row.cache_clear()
@@ -588,9 +588,9 @@ class TestMirroredEntriesShared:
         def traced_size_of_rows():
             tracemalloc.start()
             try:
-                rows = [[1]]
+                rows, step = [[1]], functools.partial(coefficients._int_step, 4, 3)
                 for _ in range(128):
-                    rows.append(coefficients._next_row(rows[-1], 4, 3))
+                    rows.append(coefficients._next_row(rows[-1], step))
                 return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()

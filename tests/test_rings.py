@@ -143,8 +143,8 @@ class TestBalancedProduct:
 class TestBiPoly:
     def test_zero_coefficients_dropped(self):
         assert BiPoly({(1, 1): 0, (0, 0): 3}) == BiPoly.from_int(3)
-        assert not BiPoly.zero()
-        assert BiPoly.zero() == 0
+        assert not BiPoly()
+        assert BiPoly() == 0
 
     def test_int_interop(self):
         p = BiPoly.var_p()
@@ -158,12 +158,14 @@ class TestBiPoly:
         p, q = BiPoly.var_p(), BiPoly.var_q()
         poly = p**2 + 2 * p * q + q**2 - 1
         assert str(poly) == "p^2 + 2*p*q + q^2 - 1"
-        assert str(BiPoly.zero()) == "0"
+        assert str(BiPoly()) == "0"
         assert str(-p) == "-p"
 
     def test_sorted_terms_order(self):
+        # the string lists the terms lexicographically on (p-degree, q-degree), leading term first
         poly = BiPoly({(0, 2): 1, (2, 0): 1, (1, 1): 1})
-        assert [ij for ij, _ in poly.sorted_terms()] == [(2, 0), (1, 1), (0, 2)]
+        assert str(poly) == "p^2 + p*q + q^2"
+        assert str(BiPoly({(0, 3): -2, (1, 0): 1, (1, 2): -1})) == "-p*q^2 + p - 2*q^3"
 
     def test_swap_vars(self):
         def swapped(poly):
@@ -180,7 +182,7 @@ class TestBiPoly:
         sym = BiPoly({(2, 0): 1, (1, 1): 1, (0, 2): 1})
         assert total_degrees(sym) == {2}
         assert len(total_degrees(sym + 1)) > 1
-        assert total_degrees(BiPoly.zero()) == set()  # no terms: homogeneous of any degree
+        assert total_degrees(BiPoly()) == set()  # no terms: homogeneous of any degree
 
     @given(bipolys, bipolys, bipolys)
     def test_ring_axioms(self, a, b, c):
@@ -298,6 +300,11 @@ class TestBiPoly:
             BiPoly.var_p() ** -1
 
 
+def conjugate(z):
+    """The ring conjugate of a QuadElem: swaps t and alpha - t."""
+    return QuadElem(z.a + z.alpha * z.b, -z.b, z.alpha)
+
+
 class TestQuadElem:
     def test_defining_relation(self):
         t = QuadElem.root(5)
@@ -309,11 +316,11 @@ class TestQuadElem:
             s = QuadElem.conjugate_root(alpha)
             assert t + s == alpha
             assert t * s == -1
-            assert t.conjugate() == s
+            assert conjugate(t) == s
 
     def test_norm_multiplicative(self):
         def norm(z):  # the product with the conjugate, a**2 + alpha*a*b - b**2
-            return z * z.conjugate()
+            return z * conjugate(z)
 
         x = QuadElem(2, 3, 1)
         y = QuadElem(-1, 4, 1)
@@ -326,8 +333,8 @@ class TestQuadElem:
         y = QuadElem(a2, b2, alpha)
         assert x * y == y * x
         assert x + y == y + x
-        assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        assert conjugate(x + y) == conjugate(x) + conjugate(y)
+        assert conjugate(x * y) == conjugate(x) * conjugate(y)
 
     def test_mixed_alpha_rejected(self):
         with pytest.raises(ParameterMismatchError):
