@@ -44,7 +44,6 @@ from .errors import (
 )
 from .identities import (
     alpha_fibonacci,
-    binomial_like,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
@@ -96,7 +95,6 @@ __all__ = [
     "TriMatrix",
     "XSeries",
     "alpha_fibonacci",
-    "binomial_like",
     "box_weights",
     "coeff_factorial",
     "coeff_inverse",

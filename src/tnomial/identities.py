@@ -10,13 +10,16 @@ the box weights w_i = q**(i-1) * p**(n-i):
 * split form: prod (p**(i-1) - q**(i-1) x), with x**k coefficient
   (-1)**k q**C(k,2) p**C(n-k,2) C(n, k).
 
-On top of these sit the binomial-like expansion of weighted products of
-linear forms in (x, y), the orthogonality of the subset and multiset
-series (their product is 1), a Vandermonde-style convolution in two
-exponent variants, an alternating partial-fraction sum that collapses to
-1, and the classical specializations: Gaussian coefficients with their
-interpolation basis, and generalized Fibonomial coefficients, which the
-suites check inside the quadratic ring Z[t]/(t^2 - alpha*t - 1).
+Over Z[p, q] the subset and split products are the binomial-like theorem,
+proved as a polynomial identity: the products of linear forms
+prod (x + w_i y) and prod (p**(i-1) x + q**(i-1) y) are these two
+homogenized, x**n times the product at -y/x.  On top of them sit the
+orthogonality of the subset and multiset series (their product is 1), a
+Vandermonde-style convolution in two exponent variants, an alternating
+partial-fraction sum that collapses to 1, and the classical
+specializations: Gaussian coefficients with their interpolation basis,
+and generalized Fibonomial coefficients, which the suites check inside
+the quadratic ring Z[t]/(t^2 - alpha*t - 1).
 
 Each product is written once, over a ring given by ``one``, ``p`` and ``q``:
 Z at a parameter pair, Z[p, q], or Z[t]/(t^2 - alpha*t - 1) at (p, q) =
@@ -98,32 +101,6 @@ def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None =
     one, p, q = _ring(params)
     factors = [(p ** (i - 1), -(q ** (i - 1))) for i in range(1, n + 1)]
     return series_product(factors, order, one)
-
-
-def binomial_like(n: int, form: str = "y_weights", params: SeqParams | None = None) -> XSeries:
-    """Expand the binomial-like product of weighted linear forms.
-
-    Both forms are homogeneous of degree n in (x, y), so the product is
-    represented as a series in x alone; the x**(n-k) coefficient carries an
-    implicit y**k.
-
-    * ``"y_weights"``: prod_{i=1..n} (x + p**(n-i) q**(i-1) y); the
-      x**(n-k) coefficient is C(n, k) * q**C(k,2) * p**C(k,2).
-    * ``"split"``: prod_{i=0..n-1} (p**i x + q**i y); the x**(n-k)
-      coefficient is C(n, k) * q**C(k,2) * p**C(n-k,2).
-
-    Returns the product, a series of order n + 1.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if form not in ("y_weights", "split"):
-        raise ValueError(f"unknown form {form!r}")
-    one, p, q = _ring(params)
-    if form == "y_weights":
-        factors = [(w, one) for w in _box_weights(p, q, n)]
-    else:
-        factors = [(q**i, p**i) for i in range(n)]
-    return series_product(factors, n + 1, one=one)
 
 
 def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries, rows: list) -> list:

@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm, prod
 from operator import mul
-from typing import Callable
 
 from .errors import BudgetExceededError, SingularMatrixError
 from .rings import exact_div
@@ -241,20 +240,15 @@ def invert_triangular(matrix: TriMatrix) -> TriMatrix:
     return TriMatrix(tuple(tuple(row) for row in inverse))
 
 
-def volume_ratio(seq: SeqParams | Callable[[int], int], k: int, n: int) -> int:
+def volume_ratio(params: SeqParams, k: int, n: int) -> int:
     """Ratio of discrete box volumes, which is again a coefficient.
 
     The volume over levels k..n is the product of those terms; dividing by
-    the volume of the 1..(n-k+1) box must be exact.  ``seq`` is either
-    sequence parameters or a term callable on positive indices.
+    the volume of the 1..(n-k+1) box must be exact.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if isinstance(seq, SeqParams):
-        term = lambda i: term_closed(seq, i)  # noqa: E731
-    else:
-        term = seq
     m = n - k + 1
-    numerator = prod(term(s) for s in range(k, n + 1))
-    denominator = prod(term(s) for s in range(1, m + 1))
+    numerator = prod(term_closed(params, s) for s in range(k, n + 1))
+    denominator = prod(term_closed(params, s) for s in range(1, m + 1))
     return exact_div(numerator, denominator)

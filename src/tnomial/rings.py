@@ -221,6 +221,12 @@ class BiPoly(_RingElement):
 
     __rmul__ = __mul__
 
+    def __pow__(self, exponent: int) -> BiPoly:
+        if len(self._terms) == 1 and exponent >= 0:  # a monomial: raise its one term, no products
+            ((i, j), coeff), = self._terms.items()
+            return BiPoly({(i * exponent, j * exponent): coeff**exponent})
+        return super().__pow__(exponent)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BiPoly):
             return self._terms == other._terms
@@ -385,7 +391,7 @@ class XSeries:
     for it raises IndexError).  Sums and products truncate to the smaller
     operand order; the retained coefficients of a truncated product agree
     with the untruncated one.  Works over any coefficient ring supporting
-    ``+``, unary ``-``, ``*``, and multiplication by int.
+    ``+``, ``*`` and multiplication by int.
     """
 
     __slots__ = ("_coeffs", "_order", "_zero")
@@ -435,14 +441,6 @@ class XSeries:
             order,
             zero=self._zero,
         )
-
-    def __neg__(self) -> XSeries:
-        return XSeries([-c for c in self._coeffs], self._order, zero=self._zero)
-
-    def __sub__(self, other: XSeries) -> XSeries:
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: XSeries) -> XSeries:
         if not isinstance(other, XSeries):

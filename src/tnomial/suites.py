@@ -12,6 +12,7 @@ and the acceptance tests both run through the public wrappers.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 from itertools import accumulate
 from math import comb
@@ -38,7 +39,6 @@ from .identities import (
     _orthogonal_sums,
     _vandermonde_at,
     alpha_fibonacci,
-    binomial_like,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
@@ -60,17 +60,15 @@ from .report import IdentityReport, sweep
 from .rings import BiPoly, QuadElem, XSeries, exact_div, series_product
 from .sequences import SeqParams, term_closed
 
-DEFAULT_GRID_LO = -2
-DEFAULT_GRID_HI = 4
-
-
-def pq_grid(lo: int = DEFAULT_GRID_LO, hi: int = DEFAULT_GRID_HI) -> list[tuple[int, int]]:
+def pq_grid(lo: int = -2, hi: int = 4) -> list[tuple[int, int]]:
     """All integer parameter pairs in the square [lo, hi] x [lo, hi]."""
     return [(p, q) for p in range(lo, hi + 1) for q in range(lo, hi + 1)]
 
 
-def positive_grid(hi: int = 3) -> list[tuple[int, int]]:
-    return pq_grid(1, hi)
+Grid = Sequence[tuple[int, int]]
+
+PQ_GRID = tuple(pq_grid())
+POSITIVE_GRID = tuple(pq_grid(1, 3))
 
 
 def sample_grid(grid: list[tuple[int, int]], size: int, seed: int) -> list[tuple[int, int]]:
@@ -80,7 +78,7 @@ def sample_grid(grid: list[tuple[int, int]], size: int, seed: int) -> list[tuple
     return random.Random(seed).sample(grid, size)
 
 
-def _grid_label(grid: list[tuple[int, int]]) -> str:
+def _grid_label(grid: Grid) -> str:
     ps = sorted({p for p, _ in grid})
     qs = sorted({q for _, q in grid})
     return f"p in [{ps[0]}..{ps[-1]}], q in [{qs[0]}..{qs[-1]}]"
@@ -121,7 +119,7 @@ def _partial_fraction_column(params, k, n_max):
         return None
 
 
-def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> IdentityReport:
+def routes_suite(grid: Grid = PQ_GRID, n_max: int = 12) -> IdentityReport:
     """Agreement of every numeric coefficient route with the recurrence.
 
     Every route is read whole, never entry by entry: the factorial,
@@ -134,17 +132,26 @@ def routes_suite(grid: list[tuple[int, int]] | None = None, n_max: int = 12) -> 
     symbolic polynomial by evaluation; it shares the recurrence's loops, so
     that point checks the symbolic step and the evaluation, not the loop.
     """
-    if grid is None:
-        grid = pq_grid()
     keys = ("p", "q", "n", "k", "route")
     return sweep("route-agreement", _grid_label(grid), (n_max, n_max), keys, _route_points(grid, n_max))
+
+
+def _product_points(p, q, n, form, series, row):
+    """One point per coefficient k of the subset or the split series of n,
+    keyed (p, q, n, form, k), over Z or Z[p, q] alike: coefficient k is
+    (-1)**k q**C(k,2) p**C(e,2) C(n, k), C(n, k) read from ``row``, with
+    e = k for the subset product and n - k for the split one, and 0 past
+    degree n."""
+    for k, lhs in enumerate(series.coefficients):
+        e = n - k if form == "split-gf" else k
+        rhs = (-1) ** k * q ** (k * (k - 1) // 2) * p ** (e * (e - 1) // 2) * row[k] if k <= n else 0
+        yield p, q, n, form, k, lhs, rhs
 
 
 def _series_points(p, q, n, subset, multiset, rows):
     """One point per coefficient of the subset series and, unless None,
     the multiset series of n, against C read from ``rows``."""
-    for k, lhs in enumerate(subset.coefficients):
-        yield p, q, n, "subset-gf", k, lhs, (-1) ** k * (p * q) ** _binom2(k) * rows[n][k] if k <= n else 0
+    yield from _product_points(p, q, n, "subset-gf", subset, rows[n])
     if multiset is not None:
         for k, lhs in enumerate(multiset.coefficients):
             yield p, q, n, "multiset-gf", k, lhs, rows[n + k - 1][k]
@@ -159,20 +166,15 @@ def _gf_points(grid, n_max, order):
             subset = expand_subset_gf(n, params, order)
             multiset = expand_multiset_gf(n, order, params) if n >= 1 else None
             yield from _series_points(p, q, n, subset, multiset, rows)
-            for k, lhs in enumerate(expand_split_gf(n, params).coefficients):
-                yield p, q, n, "split-gf", k, lhs, (-1) ** k * q ** _binom2(k) * p ** _binom2(n - k) * rows[n][k]
+            yield from _product_points(p, q, n, "split-gf", expand_split_gf(n, params), rows[n])
             if multiset is not None:
                 yield p, q, n, "subset * multiset", subset * multiset, XSeries.one(order)
 
 
-def gf_suite(
-    grid: list[tuple[int, int]] | None = None, n_max: int = 8, order: int = 10
-) -> IdentityReport:
+def gf_suite(grid: Grid = PQ_GRID, n_max: int = 8, order: int = 10) -> IdentityReport:
     """Coefficient coherence of the three product expansions, one point per
     coefficient, plus the mutual-inverse check: subset series times
     multiset series equals 1."""
-    if grid is None:
-        grid = pq_grid()
     points = _gf_points(grid, n_max, order)
     keys = ("p", "q", "n", "check", "k")
     return sweep("gf-coherence", _grid_label(grid), (n_max, order), keys, points)
@@ -181,16 +183,15 @@ def gf_suite(
 def _binomial_points(n_max):
     p, q = BiPoly.var_p(), BiPoly.var_q()
     for n in range(1, n_max + 1):
-        for form in ("y_weights", "split"):
-            series = binomial_like(n, form)
-            for k in range(n + 1):
-                # the x**(n-k) coefficient carries y**k
-                p_exp = _binom2(k) if form == "y_weights" else _binom2(n - k)
-                yield n, form, k, series[n - k], q ** _binom2(k) * p**p_exp * coeff_symbolic(n, k)
+        row = [coeff_symbolic(n, k) for k in range(n + 1)]
+        for form, series in (("subset-gf", expand_subset_gf(n)), ("split-gf", expand_split_gf(n))):
+            for point in _product_points(p, q, n, form, series, row):
+                yield point[2:]  # keyed (n, form, k): p and q are the indeterminates
 
 
 def binomial_suite(n_max: int = 7) -> IdentityReport:
-    """Symbolic binomial-like expansion, both forms, over Z[p, q]."""
+    """The binomial-like theorem over Z[p, q]: every coefficient of the
+    subset and the split product of each n against the symbolic triangle."""
     keys = ("n", "form", "k")
     return sweep("binomial-like", "symbolic", (n_max, n_max), keys, _binomial_points(n_max))
 
@@ -211,13 +212,9 @@ def _orthogonality_points(grid, n_max, s_max):
                     yield p, q, n, check, s, value, expected
 
 
-def orthogonality_suite(
-    grid: list[tuple[int, int]] | None = None, n_max: int = 8, s_max: int = 8
-) -> IdentityReport:
+def orthogonality_suite(grid: Grid = PQ_GRID, n_max: int = 8, s_max: int = 8) -> IdentityReport:
     """Both series of each n, coefficient by coefficient, and their
     orthogonality sums at every s."""
-    if grid is None:
-        grid = pq_grid()
     points = _orthogonality_points(grid, n_max, s_max)
     keys = ("p", "q", "n", "check", "k")
     return sweep("orthogonality", _grid_label(grid), (n_max, s_max), keys, points)
@@ -246,14 +243,10 @@ def _vandermonde_points(grid, nm_max, notes):
         notes.append("plain-exponent variant never refuted on this grid")
 
 
-def vandermonde_suite(
-    grid: list[tuple[int, int]] | None = None, nm_max: int = 5
-) -> IdentityReport:
+def vandermonde_suite(grid: Grid = POSITIVE_GRID, nm_max: int = 5) -> IdentityReport:
     """Convolution identity sweep; the adopted exponent reading must hold
     everywhere, and the first counterexample to the rejected plain-exponent
     reading is recorded in the notes."""
-    if grid is None:
-        grid = positive_grid()
     notes: list[str] = []
     points = _vandermonde_points(grid, nm_max, notes)
     keys = ("p", "q", "n", "m", "k")
@@ -271,11 +264,9 @@ def _unit_sum_points(grid, k_max):
             yield p, q, k, total, 1
 
 
-def equal1_suite(grid: list[tuple[int, int]] | None = None, k_max: int = 8) -> IdentityReport:
+def equal1_suite(grid: Grid = PQ_GRID, k_max: int = 8) -> IdentityReport:
     """Partial-fraction sum at n = k must be exactly 1 wherever the nodes
     are pairwise distinct."""
-    if grid is None:
-        grid = pq_grid()
     points = _unit_sum_points(grid, k_max)
     return sweep("unit-sum", _grid_label(grid), (k_max, k_max), ("p", "q", "k"), points)
 
@@ -301,16 +292,14 @@ def _inversion_points(grid, order):
         yield p, q, "inverse @ triangle", inverse @ triangle, identity
 
 
-def inversion_suite(grid: list[tuple[int, int]] | None = None, order: int = 8) -> IdentityReport:
+def inversion_suite(grid: Grid = PQ_GRID, order: int = 8) -> IdentityReport:
     """The composition-sum inverse must invert the coefficient triangle on
     both sides and match the exact forward-substitution inverse entrywise."""
-    if grid is None:
-        grid = pq_grid()
     keys = ("p", "q", "check", "n", "k")
     return sweep("inversion", _grid_label(grid), (order, order), keys, _inversion_points(grid, order))
 
 
-def fibonomial_suite(alpha: int, n_max: int) -> IdentityReport:
+def fibonomial_suite(alpha: int, n_max: int = 10) -> IdentityReport:
     """Verify the Fibonomial identity family up to n_max.
 
     (a) sequence splitting: f(k+m) = f(m-1) f(k) + f(k+1) f(m);
@@ -351,10 +340,6 @@ def _fibonomial_points(alpha: int, n_max: int):
         for k in range(n + 1):
             # a QuadElem equals an int only when it is t-free
             yield n, k, series[k], (-1) ** _binom2(k + 1) * coefficient(n, k)
-
-
-def fibonomial_reports(alphas: tuple[int, ...] = (1, 2), n_max: int = 10) -> list[IdentityReport]:
-    return [fibonomial_suite(alpha, n_max) for alpha in alphas]
 
 
 def _specialization_points(n_max):
@@ -404,7 +389,7 @@ def specialization_suite(n_max: int = 8) -> IdentityReport:
 
 
 def _selection_points(hi, n_max, k_max):
-    for p, q in positive_grid(hi):
+    for p, q in pq_grid(1, hi):
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             boxes = BoxWeights.from_params(params, n)
@@ -463,7 +448,7 @@ def dag_oracle_suite(n_max: int = 4) -> IdentityReport:
 
 
 def _volume_points(hi, n_max):
-    for p, q in positive_grid(hi):
+    for p, q in pq_grid(1, hi):
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
@@ -476,7 +461,7 @@ def volume_oracle_suite(hi: int = 3, n_max: int = 8) -> IdentityReport:
     return sweep("volume-oracle", f"p, q in [1..{hi}]", (n_max, n_max), ("p", "q", "n", "k"), points)
 
 
-def verify_inverse_relation(p_val: int, n_max: int) -> IdentityReport:
+def verify_inverse_relation(p_val: int, n_max: int = 8) -> IdentityReport:
     """Check the diagonal-case inverse against the acyclic-digraph counts:
     inverse entry (n, k) must equal (-1)**(n-k) * a(n-k) * comb(n, k) *
     p**(k*(n-k)), with a() from the inclusion-exclusion recurrence."""
@@ -496,24 +481,20 @@ def _inverse_relation_points(p_val: int, n_max: int):
             yield n, k, entry, expected
 
 
-def inverse_relation_reports(ps: tuple[int, ...] = (2, 3), n_max: int = 8) -> list[IdentityReport]:
-    return [verify_inverse_relation(p_val, n_max) for p_val in ps]
-
-
 def _given(**bounds: object) -> dict[str, object]:
     """The arguments that were given; each suite's own default fills the rest."""
     return {name: value for name, value in bounds.items() if value is not None}
 
 
 _IDENTITY_CALLS = {
-    "routes": lambda grid, n, order, alphas: [routes_suite(grid, **_given(n_max=n))],
-    "gf": lambda grid, n, order, alphas: [gf_suite(grid, **_given(n_max=n, order=order))],
+    "routes": lambda grid, n, order, alphas: [routes_suite(**_given(grid=grid, n_max=n))],
+    "gf": lambda grid, n, order, alphas: [gf_suite(**_given(grid=grid, n_max=n, order=order))],
     "binomial": lambda grid, n, order, alphas: [binomial_suite(**_given(n_max=n))],
-    "orthogonality": lambda grid, n, order, alphas: [orthogonality_suite(grid, **_given(n_max=n, s_max=n))],
-    "vandermonde": lambda grid, n, order, alphas: [vandermonde_suite(grid, **_given(nm_max=n))],
-    "equal1": lambda grid, n, order, alphas: [equal1_suite(grid, **_given(k_max=n))],
-    "inversion": lambda grid, n, order, alphas: [inversion_suite(grid, **_given(order=n))],
-    "fibonomial": lambda grid, n, order, alphas: fibonomial_reports(**_given(alphas=alphas, n_max=n)),
+    "orthogonality": lambda grid, n, order, alphas: [orthogonality_suite(**_given(grid=grid, n_max=n, s_max=n))],
+    "vandermonde": lambda grid, n, order, alphas: [vandermonde_suite(**_given(grid=grid, nm_max=n))],
+    "equal1": lambda grid, n, order, alphas: [equal1_suite(**_given(grid=grid, k_max=n))],
+    "inversion": lambda grid, n, order, alphas: [inversion_suite(**_given(grid=grid, order=n))],
+    "fibonomial": lambda grid, n, order, alphas: [fibonomial_suite(a, **_given(n_max=n)) for a in alphas],
     "specializations": lambda grid, n, order, alphas: [specialization_suite(**_given(n_max=n))],
 }
 
@@ -522,7 +503,7 @@ _ORACLE_CALLS = {  # name: (largest n_max the brute-force counters accept, call)
     "bipartite": (5, lambda n: [bipartite_oracle_suite(**_given(n_max=n))]),
     "dag": (4, lambda n: [dag_oracle_suite(**_given(n_max=n))]),
     "volume": (8, lambda n: [volume_oracle_suite(**_given(n_max=n))]),
-    "inverse-relation": (8, lambda n: inverse_relation_reports(**_given(n_max=n))),
+    "inverse-relation": (8, lambda n: [verify_inverse_relation(p, **_given(n_max=n)) for p in (2, 3)]),
 }
 
 IDENTITY_SUITES = tuple(_IDENTITY_CALLS)
@@ -532,19 +513,19 @@ ORACLE_SUITES = tuple(_ORACLE_CALLS)
 
 def run_verify(
     identity: str,
-    grid: list[tuple[int, int]] | None = None,
+    grid: Grid | None = None,
     n_max: int | None = None,
     order: int | None = None,
     alpha: int | None = None,
 ) -> list[IdentityReport]:
     """Run one named identity suite (or all of them) and collect reports;
     a bound left as None takes the suite's default, and ``alpha`` replaces
-    the fibonomial suite's default multipliers with that one."""
+    the fibonomial suite's default multipliers 1 and 2 with that one."""
     if identity == "all":
         return [report for name in IDENTITY_SUITES for report in run_verify(name, grid, n_max, order, alpha)]
     if identity not in _IDENTITY_CALLS:
         raise ValueError(f"unknown identity suite {identity!r}")
-    return _IDENTITY_CALLS[identity](grid, n_max, order, None if alpha is None else (alpha,))
+    return _IDENTITY_CALLS[identity](grid, n_max, order, (1, 2) if alpha is None else (alpha,))
 
 
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:

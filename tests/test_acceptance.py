@@ -17,9 +17,8 @@ from tnomial.suites import (
     bipartite_oracle_suite,
     dag_oracle_suite,
     equal1_suite,
-    fibonomial_reports,
+    fibonomial_suite,
     gf_suite,
-    inverse_relation_reports,
     inversion_suite,
     orthogonality_suite,
     routes_suite,
@@ -28,6 +27,7 @@ from tnomial.suites import (
     selections_oracle_suite,
     specialization_suite,
     vandermonde_suite,
+    verify_inverse_relation,
 )
 
 
@@ -94,7 +94,7 @@ def test_criterion_08_combinatorial_oracles():
         bipartite_oracle_suite(alpha_max=3, n_max=5),
         dag_oracle_suite(n_max=4),
     ]
-    reports.extend(inverse_relation_reports(ps=(2, 3), n_max=8))
+    reports.extend(verify_inverse_relation(p_val, n_max=8) for p_val in (2, 3))
     _criterion(8, "brute-force enumeration matches the formulas", reports)
 
 
@@ -102,7 +102,7 @@ def test_criterion_09_fibonomial_suite():
     _criterion(
         9,
         "fibonacci-family recurrences and series, alpha in {1, 2}, n <= 10",
-        fibonomial_reports(alphas=(1, 2), n_max=10),
+        [fibonomial_suite(alpha, n_max=10) for alpha in (1, 2)],
     )
 
 

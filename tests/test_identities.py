@@ -16,7 +16,6 @@ from tnomial.identities import (
     _orthogonal_sums,
     _vandermonde_at,
     alpha_fibonacci,
-    binomial_like,
     expand_multiset_gf,
     expand_split_gf,
     expand_subset_gf,
@@ -25,7 +24,7 @@ from tnomial.identities import (
     gaussian_inverse_entry,
 )
 from tnomial.report import sweep
-from tnomial.rings import BiPoly, QuadElem, XSeries, exact_div
+from tnomial.rings import BiPoly, QuadElem, XSeries, exact_div, series_product
 from tnomial.sequences import SeqParams
 from tnomial.suites import fibonomial_suite, pq_grid
 
@@ -82,8 +81,15 @@ class TestProductExpansions:
 EVAL_POINTS = ((2, 3), (-3, 2), (0, 2), (2, 2))
 
 
+P, Q = BiPoly.var_p(), BiPoly.var_q()
+
+
 def _evaluated(series, p, q):
     return [c.eval(p, q) for c in series.coefficients]
+
+
+def _c2(k):
+    return k * (k - 1) // 2
 
 
 class TestSymbolicMatchesNumeric:
@@ -106,63 +112,47 @@ class TestSymbolicMatchesNumeric:
 
     @pytest.mark.parametrize("p, q", EVAL_POINTS)
     def test_binomial_expansions(self, p, q):
+        # The binomial-like products of linear forms, built here over
+        # Z[p, q] as series in x with y = 1, are the subset and split
+        # products homogenized: their x**(n-k) y**k coefficient is
+        # (-1)**k times coefficient k of the expansion.
+        params = SeqParams(p, q)
         for n in range(1, 7):
-            for form in ("y_weights", "split"):
-                symbolic, numeric = binomial_like(n, form), binomial_like(n, form, SeqParams(p, q))
-                assert _evaluated(symbolic, p, q) == list(numeric.coefficients)
+            weights = [Q ** (i - 1) * P ** (n - i) for i in range(1, n + 1)]
+            forms = {
+                "subset": ([(w, 1) for w in weights], expand_subset_gf(n, params)),
+                "split": ([(Q ** (i - 1), P ** (i - 1)) for i in range(1, n + 1)], expand_split_gf(n, params)),
+            }
+            for form, (factors, numeric) in forms.items():
+                linear = series_product(factors, n + 1, BiPoly.one())
+                signed = [(-1) ** k * c for k, c in enumerate(numeric.coefficients)]
+                assert _evaluated(linear, p, q)[::-1] == signed, (n, form)
 
 
 def binomial_like_expected(n, form, p, q, coeff):
-    """The x**j coefficients of ``binomial_like(n, form)`` by their
-    formula: the x**(n-k) coefficient is q**C(k,2) p**E C(n, k), with
-    E = C(k,2) for "y_weights" and C(n-k,2) for "split"."""
-
-    def c2(k):
-        return k * (k - 1) // 2
-
-    by_k = [q ** c2(k) * p ** (c2(k) if form == "y_weights" else c2(n - k)) * coeff(n, k) for k in range(n + 1)]
-    return by_k[::-1]
+    """Coefficients 0..n of the ``form`` ("subset" or "split") product of
+    n by their formula: coefficient k is (-1)**k q**C(k,2) p**E C(n, k),
+    with E = C(k,2) for "subset" and C(n-k,2) for "split"."""
+    return [(-1) ** k * q ** _c2(k) * p ** _c2(k if form == "subset" else n - k) * coeff(n, k) for k in range(n + 1)]
 
 
-def _c2(k):
-    return k * (k - 1) // 2
-
-
-P, Q = BiPoly.var_p(), BiPoly.var_q()
-
-# identity: (call, weight, entry, position). Coefficient k of the expansion
-# is weight(p, q, k) * C(entry(k)) and sits at ``position(k)`` of the
-# returned series (binomial_like carries y**k on x**(5-k)).
+# identity: (call, weight, entry). Coefficient k of the expansion is
+# weight(p, q, k) * C(entry(k)).
 CORRUPTED = {
     "subset-gf": (
         lambda params: expand_subset_gf(5, params),
         lambda p, q, k: (-1) ** k * (p * q) ** _c2(k),
         lambda k: (5, k),
-        lambda k: k,
     ),
     "multiset-gf": (
         lambda params: expand_multiset_gf(5, 4, params),
         lambda p, q, k: 1,
         lambda k: (5 + k - 1, k),
-        lambda k: k,
     ),
     "split-gf": (
         lambda params: expand_split_gf(5, params),
         lambda p, q, k: (-1) ** k * q ** _c2(k) * p ** _c2(5 - k),
         lambda k: (5, k),
-        lambda k: k,
-    ),
-    "binomial-like/y_weights": (
-        lambda params: binomial_like(5, "y_weights", params),
-        lambda p, q, k: q ** _c2(k) * p ** _c2(k),
-        lambda k: (5, k),
-        lambda k: 5 - k,
-    ),
-    "binomial-like/split": (
-        lambda params: binomial_like(5, "split", params),
-        lambda p, q, k: q ** _c2(k) * p ** _c2(5 - k),
-        lambda k: (5, k),
-        lambda k: 5 - k,
     ),
 }
 
@@ -176,7 +166,7 @@ class TestCorruptedCoefficients:
     @pytest.mark.parametrize("identity", CORRUPTED)
     @pytest.mark.parametrize("params", [None, params_23, SeqParams(-3, 2)], ids=["symbolic", "2,3", "-3,2"])
     def test_violation_fields(self, identity, params):
-        call, weight, entry, position = CORRUPTED[identity]
+        call, weight, entry = CORRUPTED[identity]
         if params is None:
             p, q, coeff = P, Q, coeff_symbolic
         else:
@@ -186,7 +176,7 @@ class TestCorruptedCoefficients:
         def points(shift):
             for k in range(len(series.coefficients)):
                 rhs = weight(p, q, k) * (coeff(*entry(k)) + shift * (k == 2))
-                yield 5, k, series[position(k)], rhs
+                yield 5, k, series[k], rhs
 
         clean = sweep(identity, "", (5, 5), ("n", "k"), points(0))
         assert (clean.status, clean.checked) == ("holds", len(series.coefficients))
@@ -197,24 +187,25 @@ class TestCorruptedCoefficients:
 
 
 class TestBinomialLike:
+    """The binomial-like theorem is the subset and the split product over
+    Z[p, q]; both expanders give it with ``params=None``."""
+
+    EXPANDERS = {"subset": expand_subset_gf, "split": expand_split_gf}
+
     def test_both_forms_symbolic(self):
-        p, q = BiPoly.var_p(), BiPoly.var_q()
         for n in range(1, 7):
-            for form in ("y_weights", "split"):
-                expected = binomial_like_expected(n, form, p, q, coeff_symbolic)
-                assert list(binomial_like(n, form).coefficients) == expected, (n, form)
+            for form, expand in self.EXPANDERS.items():
+                expected = binomial_like_expected(n, form, P, Q, coeff_symbolic)
+                assert list(expand(n).coefficients) == expected, (n, form)
 
     def test_numeric_params(self):
+        # the Z[p, q] expansions evaluated at a pair, against the integer triangle
         for p, q in ((2, 3), (-1, 2), (0, 3), (2, 2)):
             params = SeqParams(p, q)
             for n in range(1, 6):
-                for form in ("y_weights", "split"):
+                for form, expand in self.EXPANDERS.items():
                     expected = binomial_like_expected(n, form, p, q, lambda n, k: coeff_recurrence(params, n, k))
-                    assert list(binomial_like(n, form, params).coefficients) == expected, (p, q, n, form)
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            binomial_like(3, "transposed")
+                    assert _evaluated(expand(n), p, q) == expected, (p, q, n, form)
 
 
 class TestOrthogonality:

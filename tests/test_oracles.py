@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tnomial import oracles
 from tnomial.errors import BudgetExceededError, SingularMatrixError
-from tnomial.identities import alpha_fibonacci
 from tnomial.oracles import (
     BoxWeights,
     TriMatrix,
@@ -337,10 +336,6 @@ class TestVolumeRatio:
                         assert volume_ratio(params, k, n) == coeff_recurrence(
                             params, n, n - k + 1
                         )
-
-    def test_accepts_a_term_callable(self):
-        fib = lambda n: alpha_fibonacci(1, n)
-        assert volume_ratio(fib, 2, 5) == 5
 
     def test_index_validation(self):
         with pytest.raises(ValueError):

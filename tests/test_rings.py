@@ -289,6 +289,9 @@ class TestBiPoly:
         assert calls == [first, second]
 
     @given(bipolys, st.integers(0, 5))
+    @example(BiPoly({(3, 1): -2}), 5)
+    @example(BiPoly({(0, 0): 3}), 0)
+    @example(BiPoly(), 0)
     def test_pow_matches_repeated_product(self, a, e):
         expected = BiPoly.one()
         for _ in range(e):

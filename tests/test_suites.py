@@ -14,7 +14,7 @@ import pytest
 from tnomial import coefficients, identities, oracles, suites
 from tnomial.errors import BudgetExceededError
 from tnomial.report import IdentityReport
-from tnomial.rings import XSeries
+from tnomial.rings import BiPoly, XSeries
 from tnomial.sequences import SeqParams
 from tnomial.suites import (
     IDENTITY_SUITES,
@@ -22,7 +22,7 @@ from tnomial.suites import (
     binomial_suite,
     dag_oracle_suite,
     equal1_suite,
-    fibonomial_reports,
+    fibonomial_suite,
     gf_suite,
     inversion_suite,
     orthogonality_suite,
@@ -79,7 +79,7 @@ def test_unknown_names_rejected():
 
 
 def test_run_verify_passes_alpha_to_the_fibonomial_suite():
-    assert run_verify("fibonomial", n_max=6, alpha=3) == fibonomial_reports((3,), 6)
+    assert run_verify("fibonomial", n_max=6, alpha=3) == [fibonomial_suite(3, 6)]
 
 
 def test_selections_oracle_raises_past_its_cap():
@@ -171,18 +171,40 @@ def test_gf_compares_every_series_coefficient(monkeypatch, check, p, q):
     assert gf_suite([(p, q)]).first_counterexample == dict(zip(GF_KEYS, expected["multiset-gf"]))
 
 
-@pytest.mark.parametrize("form, weight", [("y_weights", lambda p, q: q * p), ("split", lambda p, q: q * p**3)])
+@pytest.mark.parametrize("form, weight", [("subset", lambda p, q: q * p), ("split", lambda p, q: q * p**3)])
 def test_binomial_compares_every_coefficient(monkeypatch, form, weight):
+    # With the symbolic C(5, 2) off by one, coefficient 2 of the subset and
+    # of the split product of n = 5 fail, each with its weight
+    # (-1)**2 q**C(2,2) p**E: E = C(2,2) for the subset, C(3,2) for the split.
     symbolic = coefficients.coeff_symbolic
     monkeypatch.setattr(suites, "coeff_symbolic", lambda n, k: symbolic(n, k) + ((n, k) == (5, 2)))
-    w, c = weight(identities.BiPoly.var_p(), identities.BiPoly.var_q()), symbolic(5, 2)
+    w, c, label = weight(BiPoly.var_p(), BiPoly.var_q()), symbolic(5, 2), f"{form}-gf"
     failed = mismatches(suites._binomial_points(7))
-    assert [point for point in failed if point[1] == form] == [(5, form, 2, w * c, w * (c + 1))]
+    assert [point for point in failed if point[1] == label] == [(5, label, 2, w * c, w * (c + 1))]
     assert len(failed) == 2
     report = binomial_suite()
-    assert failed[0][1] == "y_weights"
+    assert failed[0][1] == "subset-gf"
     assert report.first_counterexample == dict(zip(("n", "form", "k", "lhs", "rhs"), failed[0]))
-    assert report.checked == 2 * (2 + 3 + 4 + 5) + 3  # n = 1..4 both forms, n = 5 y_weights k = 0..2
+    assert report.checked == 2 * (2 + 3 + 4 + 5) + 3  # n = 1..4 both forms, n = 5 subset k = 0..2
+
+
+def test_binomial_fails_on_a_corrupted_split_expansion(monkeypatch):
+    # coefficient 3 of the Z[p, q] split product of n = 6 off by pq
+    expand = identities.expand_split_gf
+    pq = BiPoly.var_p() * BiPoly.var_q()
+
+    def corrupted(n, params=None, order=None):
+        series = expand(n, params, order)
+        if (n, params) != (6, None):
+            return series
+        return series + XSeries([0, 0, 0, pq], series.order, zero=BiPoly())
+
+    monkeypatch.setattr(suites, "expand_split_gf", corrupted)
+    report = binomial_suite()
+    true = expand(6)[3]
+    assert report.status == "fails"
+    assert report.first_counterexample == {"n": 6, "form": "split-gf", "k": 3, "lhs": true + pq, "rhs": true}
+    assert report.checked == 2 * (2 + 3 + 4 + 5 + 6) + 7 + 4  # n = 1..5 both forms, n = 6 subset, split k = 0..3
 
 
 def test_unit_sum_computes_each_sum_once(monkeypatch):
@@ -342,7 +364,7 @@ def test_specializations_read_each_unscaled_row_once(monkeypatch):
 
 def test_fibonomial_suite_builds_its_factorials_once(monkeypatch):
     calls = count_calls(monkeypatch, identities.alpha_fibonacci)
-    reports = fibonomial_reports()
+    reports = [fibonomial_suite(alpha) for alpha in (1, 2)]
     assert calls == [(alpha, i) for alpha in (1, 2) for i in range(12)]
     assert [(report.status, report.checked) for report in reports] == [("holds", 155)] * 2
 
