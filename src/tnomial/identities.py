@@ -88,19 +88,16 @@ def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> X
     return series_product((), order, one, reciprocals=_box_weights(p, q, n))
 
 
-def expand_split_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> XSeries:
-    """Expand prod_{i=1..n} (p**(i-1) - q**(i-1) x) to ``order`` (default n + 1).
+def expand_split_gf(n: int, params: SeqParams | None = None) -> XSeries:
+    """Expand prod_{i=1..n} (p**(i-1) - q**(i-1) x), all n + 1 coefficients.
 
-    Coefficient k is (-1)**k q**C(k,2) p**C(n-k,2) C(n, k), and 0 beyond
-    degree n.
+    Coefficient k is (-1)**k q**C(k,2) p**C(n-k,2) C(n, k).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if order is None:
-        order = n + 1
     one, p, q = _ring(params)
     factors = [(p ** (i - 1), -(q ** (i - 1))) for i in range(1, n + 1)]
-    return series_product(factors, order, one)
+    return series_product(factors, n + 1, one)
 
 
 def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries, rows: list) -> list:

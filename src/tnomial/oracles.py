@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm, prod
+from math import comb, prod
 from operator import mul
 
 from .errors import BudgetExceededError, SingularMatrixError
@@ -172,13 +172,13 @@ def count_acyclic_multidigraphs_recurrence(p_val: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class TriMatrix:
-    """Lower-triangular matrix of exact rationals; row i holds i + 1 entries."""
+    """Lower-triangular matrix of exact numbers, ints or ``Fraction``s, kept
+    as given; row i holds i + 1 entries.  Products are plain exact sums, so
+    integer matrices multiply to an integer matrix."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int | Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(tuple(e if type(e) is Fraction else Fraction(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", coerced)
         for i, row in enumerate(self.rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {i + 1}")
@@ -189,55 +189,41 @@ class TriMatrix:
 
     @classmethod
     def identity(cls, order: int) -> TriMatrix:
-        return cls(tuple(tuple(Fraction(int(i == j)) for j in range(i + 1)) for i in range(order)))
+        return cls(tuple(tuple(int(i == j) for j in range(i + 1)) for i in range(order)))
 
     def __matmul__(self, other: TriMatrix) -> TriMatrix:
         if not isinstance(other, TriMatrix):
             return NotImplemented
         if self.order != other.order:
             raise ValueError("order mismatch")
-        a, a_den = _numerators(self)
-        b, b_den = _numerators(other)
-        columns = [[b[m][j] for m in range(j, other.order)] for j in range(other.order)]
-        den = a_den * b_den
+        columns = [[other.rows[m][j] for m in range(j, other.order)] for j in range(other.order)]
         return TriMatrix(
-            tuple(
-                tuple(Fraction(sum(map(mul, a[i][j:], columns[j])), den) for j in range(i + 1))
-                for i in range(self.order)
-            )
+            tuple(tuple(sum(map(mul, row[j:], columns[j])) for j in range(i + 1)) for i, row in enumerate(self.rows))
         )
-
-
-def _numerators(matrix: TriMatrix) -> tuple[list[list[int]], int]:
-    """Integer numerators of the entries over den, the lcm of their denominators."""
-    den = lcm(*(entry.denominator for row in matrix.rows for entry in row))
-    return [[entry.numerator * (den // entry.denominator) for entry in row] for row in matrix.rows], den
 
 
 def invert_triangular(matrix: TriMatrix) -> TriMatrix:
     """Exact inverse of a lower-triangular matrix by forward substitution.
 
-    Fraction-free on the integer numerators M = den * ``matrix``, one column
-    j at a time: entry (i, j) of M**-1 is an integer over the running scale
-    m_jj * ... * m_ii, so each new diagonal entry rescales the column.
+    One column j at a time, entry (i, j) of the inverse is
+    ([i == j] - sum_{m=j..i-1} M[i][m] inv[m][j]) / M[i][i].  The division
+    is exact, through ``Fraction``, and skipped where M[i][i] is 1, so a
+    unit-diagonal integer matrix has an integer inverse.
     """
-    order = matrix.order
-    for i in range(order):
-        if matrix.rows[i][i] == 0:
+    rows = matrix.rows
+    for i, row in enumerate(rows):
+        if row[i] == 0:
             raise SingularMatrixError(f"zero diagonal entry at row {i}")
-    rows, den = _numerators(matrix)
-    inverse: list[list[Fraction]] = [[] for _ in range(order)]
-    for j in range(order):
-        column: list[int] = []
-        scale = 1
-        for i in range(j, order):
-            numerator = -sum(map(mul, rows[i][j:i], column)) if i > j else 1
-            diagonal = rows[i][i]
-            column = [entry * diagonal for entry in column]
-            column.append(numerator)
-            scale *= diagonal
-            inverse[i].append(Fraction(den * numerator, scale))
-    return TriMatrix(tuple(tuple(row) for row in inverse))
+    inverse: list[list[int | Fraction]] = [[] for _ in rows]
+    for j in range(matrix.order):
+        column: list[int | Fraction] = []
+        for i, row in enumerate(rows[j:], j):
+            entry = int(i == j) - sum(map(mul, row[j:i], column))
+            if row[i] != 1:
+                entry = Fraction(entry) / row[i]
+            column.append(entry)
+            inverse[i].append(entry)
+    return TriMatrix(tuple(map(tuple, inverse)))
 
 
 def volume_ratio(params: SeqParams, k: int, n: int) -> int:

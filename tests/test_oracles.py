@@ -9,7 +9,7 @@ from pathlib import Path
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnomial import oracles
@@ -25,7 +25,7 @@ from tnomial.oracles import (
     invert_triangular,
     volume_ratio,
 )
-from tnomial.coefficients import coeff_recurrence
+from tnomial.coefficients import coeff_recurrence, triangle_rows
 from tnomial.sequences import SeqParams
 from tnomial.suites import verify_inverse_relation
 
@@ -99,7 +99,8 @@ def arc_list_acyclic_count(p_val, n):
 
 
 def fraction_matmul(a, b):
-    """The triangular product summed entry by entry in Fractions."""
+    """The triangular product summed entry by entry in Fractions, whatever
+    the entries' types."""
     return tuple(
         tuple(sum((a.rows[i][m] * b.rows[m][j] for m in range(j, i + 1)), Fraction(0)) for j in range(i + 1))
         for i in range(a.order)
@@ -107,7 +108,9 @@ def fraction_matmul(a, b):
 
 
 def fraction_inverse(matrix):
-    """Forward substitution row by row in Fractions."""
+    """Forward substitution row by row in Fractions, whatever the entries'
+    types: each entry starts from a Fraction, so no division falls back to
+    float."""
     for i in range(matrix.order):
         if matrix.rows[i][i] == 0:
             raise SingularMatrixError(f"zero diagonal entry at row {i}")
@@ -116,7 +119,7 @@ def fraction_inverse(matrix):
         row = []
         for j in range(i + 1):
             if j == i:
-                row.append(1 / matrix.rows[i][i])
+                row.append(Fraction(1) / matrix.rows[i][i])
             else:
                 acc = sum((matrix.rows[i][m] * inverse[m][j] for m in range(j, i)), Fraction(0))
                 row.append(-acc / matrix.rows[i][i])
@@ -136,7 +139,8 @@ def triangular(draw, diagonal=nonzero, order=None):
 
 
 def fraction_rows(matrix):
-    assert all(type(entry) is Fraction for row in matrix.rows for entry in row)
+    """The rows, once every entry is checked to be exact: an int or a Fraction."""
+    assert all(type(entry) in (int, Fraction) for row in matrix.rows for entry in row)
     return matrix.rows
 
 
@@ -275,9 +279,18 @@ def test_errors_match_the_references_under_a_budget(monkeypatch, budget):
 
 
 class TestTriMatrix:
-    def test_entries_become_fractions(self):
-        m = TriMatrix(((1,), (2, 3)))
-        assert isinstance(m.rows[1][1], Fraction)
+    def test_unit_diagonal_integers_stay_integers(self):
+        triangle = TriMatrix(tuple(map(tuple, triangle_rows(params_23, 8))))
+        inverse = invert_triangular(triangle)
+        for matrix in (inverse, triangle @ inverse, inverse @ triangle):
+            assert all(type(entry) is int for row in matrix.rows for entry in row)
+
+    def test_entries_are_kept_as_given(self):
+        half = Fraction(1, 2)
+        m = TriMatrix(((1,), (half, 3)))
+        assert type(m.rows[1][0]) is Fraction and type(m.rows[1][1]) is int
+        assert type((m @ TriMatrix.identity(2)).rows[1][0]) is Fraction
+        assert invert_triangular(m).rows == ((1,), (Fraction(-1, 6), Fraction(1, 3)))
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -308,6 +321,8 @@ class TestTriMatrix:
         b = data.draw(triangular(diagonal=entries, order=a.order))
         assert fraction_rows(a @ b) == fraction_matmul(a, b)
 
+    @example(TriMatrix(((3,),)))
+    @example(TriMatrix(((-1,), (2, Fraction(-3, 4)))))
     @given(triangular())
     def test_inverse_matches_fraction_substitution(self, matrix):
         assert fraction_rows(invert_triangular(matrix)) == fraction_inverse(matrix)

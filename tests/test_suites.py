@@ -193,8 +193,8 @@ def test_binomial_fails_on_a_corrupted_split_expansion(monkeypatch):
     expand = identities.expand_split_gf
     pq = BiPoly.var_p() * BiPoly.var_q()
 
-    def corrupted(n, params=None, order=None):
-        series = expand(n, params, order)
+    def corrupted(n, params=None):
+        series = expand(n, params)
         if (n, params) != (6, None):
             return series
         return series + XSeries([0, 0, 0, pq], series.order, zero=BiPoly())
