@@ -24,7 +24,7 @@ the quadratic ring Z[t]/(t^2 - alpha*t - 1).
 Each product is written once, over a ring given by ``one``, ``p`` and ``q``:
 Z at a parameter pair, Z[p, q], or Z[t]/(t^2 - alpha*t - 1) at (p, q) =
 (t, alpha - t); the weights never come from the routes being checked.
-The expansions return their series and compare nothing: the suites set
+The expansions return coefficient tuples and compare nothing: the suites set
 each coefficient against the triangle, one sweep point per coefficient.
 """
 
@@ -35,7 +35,7 @@ from operator import mul
 
 from .coefficients import coeff_recurrence
 from .errors import DegenerateParametersError
-from .rings import BiPoly, XSeries, series_product
+from .rings import BiPoly, series_product
 from .sequences import SeqParams
 
 
@@ -59,8 +59,8 @@ def _box_factors(one, p, q, n: int) -> list[tuple]:
     return [(one, -w) for w in _box_weights(p, q, n)]
 
 
-def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> XSeries:
-    """Expand prod_{i=1..n} (1 - w_i x) to ``order`` (default n + 1).
+def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> tuple:
+    """Coefficients 0..order-1 (default 0..n) of prod_{i=1..n} (1 - w_i x).
 
     With ``params=None`` the expansion runs over Z[p, q], otherwise over
     the integers.  Coefficient k is (-1)**k (pq)**C(k,2) C(n, k), and 0
@@ -74,8 +74,8 @@ def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None 
     return series_product(_box_factors(one, p, q, n), order, one)
 
 
-def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> XSeries:
-    """Expand prod_{i=1..n} 1/(1 - w_i x) to ``order``.
+def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> tuple:
+    """Coefficients 0..order-1 of prod_{i=1..n} 1/(1 - w_i x).
 
     Each reciprocal factor is applied as one pass over the series, not
     expanded first; coefficient k is C(n + k - 1, k).
@@ -88,8 +88,8 @@ def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> X
     return series_product((), order, one, reciprocals=_box_weights(p, q, n))
 
 
-def expand_split_gf(n: int, params: SeqParams | None = None) -> XSeries:
-    """Expand prod_{i=1..n} (p**(i-1) - q**(i-1) x), all n + 1 coefficients.
+def expand_split_gf(n: int, params: SeqParams | None = None) -> tuple:
+    """All n + 1 coefficients of prod_{i=1..n} (p**(i-1) - q**(i-1) x).
 
     Coefficient k is (-1)**k q**C(k,2) p**C(n-k,2) C(n, k).
     """
@@ -100,12 +100,13 @@ def expand_split_gf(n: int, params: SeqParams | None = None) -> XSeries:
     return series_product(factors, n + 1, one)
 
 
-def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: XSeries, multiset: XSeries, rows: list) -> list:
+def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: tuple, multiset: tuple, rows: list) -> list:
     """The sums that vanish because the subset and multiset series of n are
     inverse, as ``(check, value, expected)`` triples at s.
 
-    On both series expanded to an order above s, and C read from ``rows``,
-    rows 0..n+s-1 or more of the triangle: the alternating convolution
+    On the coefficients of both series, more than s of each, and C read
+    from ``rows``, rows 0..n+s-1 or more of the triangle: the alternating
+    convolution
     sum_{k=0..s} (-1)**k (pq)**C(k,2) C(n, k) C(n+s-k-1, n-1) is 0,
     coefficient 0 of the series product is 1 and coefficient s is 0, and
     at s = n the reversed sum
@@ -117,9 +118,8 @@ def _orthogonal_sums(params: SeqParams, n: int, s: int, subset: XSeries, multise
         for k in range(min(n, s) + 1)  # C(n, k) = 0 for k > n
     )
     # Coefficients 0 and s of the series product, without forming the rest.
-    a, b = subset.coefficients, multiset.coefficients
-    dot = sum(map(mul, a[: s + 1], b[s::-1]))
-    sums = [("convolution", direct, 0), ("product-0", a[0] * b[0], 1), ("product-s", dot, 0)]
+    dot = sum(map(mul, subset[: s + 1], multiset[s::-1]))
+    sums = [("convolution", direct, 0), ("product-0", subset[0] * multiset[0], 1), ("product-s", dot, 0)]
     if s == n:
         reversed_form = sum(
             rows[n + k - 1][k] * (-1) ** (n - k) * (p * q) ** _binom2(n - k) * rows[n][k] for k in range(n + 1)
@@ -192,8 +192,8 @@ def gaussian_inverse_entry(q_val: int, n: int, k: int) -> int:
     return (-1) ** (n - k) * q_val ** _binom2(n - k) * coeff_recurrence(SeqParams(1, q_val), n, k)
 
 
-def gaussian_basis(q_val: int, n: int) -> tuple[XSeries, XSeries]:
-    """The interpolation-basis expansions at p = 1, both to order n + 1.
+def gaussian_basis(q_val: int, n: int) -> tuple[tuple, tuple]:
+    """The interpolation-basis expansions at p = 1, coefficients 0..n of each.
 
     With Phi_k(x) = prod_{s=0..k-1} (x - q**s), returns Phi_n, whose x**j
     coefficient is the inverse-triangle entry (-1)**(n-j) q**C(n-j,2) C(n, j),
@@ -202,8 +202,6 @@ def gaussian_basis(q_val: int, n: int) -> tuple[XSeries, XSeries]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     params = SeqParams(1, q_val)
-    assembled = XSeries([0], n + 1, zero=0)
-    for k in range(n + 1):
-        phi = series_product([(-(q_val**s), 1) for s in range(k)], n + 1, one=1)
-        assembled = assembled + phi.scale(coeff_recurrence(params, n, k))
-    return phi, assembled
+    phis = [series_product([(-(q_val**s), 1) for s in range(k)], n + 1) for k in range(n + 1)]
+    weights = [coeff_recurrence(params, n, k) for k in range(n + 1)]
+    return phis[n], tuple(sum(map(mul, weights, column)) for column in zip(*phis))

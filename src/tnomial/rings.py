@@ -8,8 +8,9 @@ power series over any of those coefficient rings.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import prod
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DivisibilityError, ParameterMismatchError
@@ -383,97 +384,26 @@ class QuadElem(_RingElement):
         return f"QuadElem({self.a}, {self.b}, alpha={self.alpha})"
 
 
+@dataclass(frozen=True)
 class XSeries:
-    """Formal power series in x truncated at a fixed order.
-
-    ``coefficients[k]`` is the coefficient of x**k; exactly ``order`` of
-    them are kept and anything at or beyond the order is undefined (asking
-    for it raises IndexError).  Sums and products truncate to the smaller
-    operand order; the retained coefficients of a truncated product agree
-    with the untruncated one.  Works over any coefficient ring supporting
-    ``+``, ``*`` and multiplication by int.
+    """Formal power series in x truncated at ``len(coefficients)``:
+    ``coefficients[k]`` is the coefficient of x**k.  A product keeps the
+    shorter operand's length, and each coefficient it keeps agrees with the
+    untruncated product.  Works over any coefficient ring whose elements
+    add to the int 0, where ``sum`` starts.
     """
 
-    __slots__ = ("_coeffs", "_order", "_zero")
-
-    def __init__(self, coeffs: Iterable, order: int | None = None, zero: object = None) -> None:
-        cs = list(coeffs)
-        if zero is None:
-            if not cs:
-                raise ValueError("cannot infer the zero coefficient of an empty series")
-            zero = cs[0] * 0
-        if order is None:
-            order = len(cs)
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        if len(cs) < order:
-            cs.extend([zero] * (order - len(cs)))
-        else:
-            cs = cs[:order]
-        self._coeffs = tuple(cs)
-        self._order = order
-        self._zero = zero
-
-    @classmethod
-    def one(cls, order: int, one: object = 1) -> XSeries:
-        """The multiplicative identity truncated at ``order``."""
-        return cls([one], order)
-
-    @property
-    def order(self) -> int:
-        return self._order
-
-    @property
-    def coefficients(self) -> tuple:
-        return self._coeffs
-
-    def __getitem__(self, k: int):
-        if not 0 <= k < self._order:
-            raise IndexError(f"coefficient {k} is beyond the truncation order {self._order}")
-        return self._coeffs[k]
-
-    def __add__(self, other: XSeries) -> XSeries:
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        return XSeries(
-            [self._coeffs[k] + other._coeffs[k] for k in range(order)],
-            order,
-            zero=self._zero,
-        )
+    coefficients: tuple
 
     def __mul__(self, other: XSeries) -> XSeries:
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        order = min(self._order, other._order)
-        out = []
-        for k in range(order):
-            acc = self._zero
-            for i in range(k + 1):
-                acc = acc + self._coeffs[i] * other._coeffs[k - i]
-            out.append(acc)
-        return XSeries(out, order, zero=self._zero)
-
-    def scale(self, factor) -> XSeries:
-        """Multiply every coefficient by a ring scalar."""
-        return XSeries([c * factor for c in self._coeffs], self._order, zero=self._zero)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        return self._order == other._order and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"XSeries({list(self._coeffs)!r}, order={self._order})"
+        a, b = self.coefficients, other.coefficients
+        return XSeries(tuple(sum(map(mul, a[: k + 1], b[k::-1])) for k in range(min(len(a), len(b)))))
 
 
-def series_product(factors: Iterable[tuple], order: int, one=1, reciprocals: Iterable = ()) -> XSeries:
-    """Product of the linear factors a + b*x, each given as the pair (a, b),
-    and of 1/(1 - w*x) for each w in ``reciprocals``, truncated at ``order``;
-    the empty product is one.
+def series_product(factors: Iterable[tuple], order: int, one=1, reciprocals: Iterable = ()) -> tuple:
+    """Coefficients 0..order-1 of the product of the linear factors a + b*x,
+    each given as the pair (a, b), and of 1/(1 - w*x) for each w in
+    ``reciprocals``, as a tuple; the empty product is one.
 
     Each factor is one descending pass acc[k] = a*acc[k] + b*acc[k-1] over
     one coefficient list, up to the product's current degree, so it costs
@@ -494,4 +424,4 @@ def series_product(factors: Iterable[tuple], order: int, one=1, reciprocals: Ite
     for w in reciprocals:
         for k in range(1, order):
             acc[k] = acc[k] + w * acc[k - 1]
-    return XSeries(acc, order, zero=zero)
+    return tuple(acc)

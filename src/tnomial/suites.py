@@ -69,6 +69,7 @@ Grid = Sequence[tuple[int, int]]
 
 PQ_GRID = tuple(pq_grid())
 POSITIVE_GRID = tuple(pq_grid(1, 3))
+SELECTION_K_MAX = 6  # the most balls a selections-oracle point draws
 
 
 def sample_grid(grid: list[tuple[int, int]], size: int, seed: int) -> list[tuple[int, int]]:
@@ -79,9 +80,10 @@ def sample_grid(grid: list[tuple[int, int]], size: int, seed: int) -> list[tuple
 
 
 def _grid_label(grid: Grid) -> str:
-    ps = sorted({p for p, _ in grid})
-    qs = sorted({q for _, q in grid})
-    return f"p in [{ps[0]}..{ps[-1]}], q in [{qs[0]}..{qs[-1]}]"
+    if not grid:
+        return "empty grid"
+    ps, qs = zip(*grid)
+    return f"p in [{min(ps)}..{max(ps)}], q in [{min(qs)}..{max(qs)}]"
 
 
 def _route_points(grid, n_max):
@@ -142,7 +144,7 @@ def _product_points(p, q, n, form, series, row):
     (-1)**k q**C(k,2) p**C(e,2) C(n, k), C(n, k) read from ``row``, with
     e = k for the subset product and n - k for the split one, and 0 past
     degree n."""
-    for k, lhs in enumerate(series.coefficients):
+    for k, lhs in enumerate(series):
         e = n - k if form == "split-gf" else k
         rhs = (-1) ** k * q ** (k * (k - 1) // 2) * p ** (e * (e - 1) // 2) * row[k] if k <= n else 0
         yield p, q, n, form, k, lhs, rhs
@@ -153,11 +155,12 @@ def _series_points(p, q, n, subset, multiset, rows):
     the multiset series of n, against C read from ``rows``."""
     yield from _product_points(p, q, n, "subset-gf", subset, rows[n])
     if multiset is not None:
-        for k, lhs in enumerate(multiset.coefficients):
+        for k, lhs in enumerate(multiset):
             yield p, q, n, "multiset-gf", k, lhs, rows[n + k - 1][k]
 
 
 def _gf_points(grid, n_max, order):
+    unit = (1, *[0] * order)[:order]
     for p, q in grid:
         params = SeqParams(p, q)
         # rows up to n_max + order - 2: the multiset coefficient k of n is C(n + k - 1, k)
@@ -168,7 +171,7 @@ def _gf_points(grid, n_max, order):
             yield from _series_points(p, q, n, subset, multiset, rows)
             yield from _product_points(p, q, n, "split-gf", expand_split_gf(n, params), rows[n])
             if multiset is not None:
-                yield p, q, n, "subset * multiset", subset * multiset, XSeries.one(order)
+                yield p, q, n, "subset * multiset", (XSeries(subset) * XSeries(multiset)).coefficients, unit
 
 
 def gf_suite(grid: Grid = PQ_GRID, n_max: int = 8, order: int = 10) -> IdentityReport:
@@ -196,28 +199,26 @@ def binomial_suite(n_max: int = 7) -> IdentityReport:
     return sweep("binomial-like", "symbolic", (n_max, n_max), keys, _binomial_points(n_max))
 
 
-def _orthogonality_points(grid, n_max, s_max):
-    if s_max < 1:
-        return
+def _orthogonality_points(grid, n_max):
     for p, q in grid:
         params = SeqParams(p, q)
-        rows = list(_rows(triangle_rows, params, n_max + s_max - 1))
+        rows = list(_rows(triangle_rows, params, 2 * n_max - 1))
         for n in range(1, n_max + 1):
-            # both series of n once, to the highest order any s reads
-            subset = expand_subset_gf(n, params, s_max + 1)
-            multiset = expand_multiset_gf(n, s_max + 1, params)
+            # both series of n once, to the highest order any s <= n_max reads
+            subset = expand_subset_gf(n, params, n_max + 1)
+            multiset = expand_multiset_gf(n, n_max + 1, params)
             yield from _series_points(p, q, n, subset, multiset, rows)
-            for s in range(1, s_max + 1):
+            for s in range(1, n_max + 1):
                 for check, value, expected in _orthogonal_sums(params, n, s, subset, multiset, rows):
                     yield p, q, n, check, s, value, expected
 
 
-def orthogonality_suite(grid: Grid = PQ_GRID, n_max: int = 8, s_max: int = 8) -> IdentityReport:
+def orthogonality_suite(grid: Grid = PQ_GRID, n_max: int = 8) -> IdentityReport:
     """Both series of each n, coefficient by coefficient, and their
-    orthogonality sums at every s."""
-    points = _orthogonality_points(grid, n_max, s_max)
+    orthogonality sums at every s up to n_max."""
+    points = _orthogonality_points(grid, n_max)
     keys = ("p", "q", "n", "check", "k")
-    return sweep("orthogonality", _grid_label(grid), (n_max, s_max), keys, points)
+    return sweep("orthogonality", _grid_label(grid), (n_max, n_max), keys, points)
 
 
 def _vandermonde_points(grid, nm_max, notes):
@@ -388,12 +389,12 @@ def specialization_suite(n_max: int = 8) -> IdentityReport:
     return sweep("specializations", label, (n_max, n_max), keys, _specialization_points(n_max))
 
 
-def _selection_points(hi, n_max, k_max):
-    for p, q in pq_grid(1, hi):
+def _selection_points(n_max):
+    for p, q in POSITIVE_GRID:
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             boxes = BoxWeights.from_params(params, n)
-            for k in range(k_max + 1):
+            for k in range(SELECTION_K_MAX + 1):
                 with_rep = count_selections(boxes, k, repetition=True)
                 yield p, q, n, k, with_rep, coeff_recurrence(params, n + k - 1, k)
                 without_rep = count_selections(boxes, k, repetition=False)
@@ -403,14 +404,14 @@ def _selection_points(hi, n_max, k_max):
                 yield p, q, n, k, without_rep, expected
 
 
-def selections_oracle_suite(hi: int = 3, n_max: int = 8, k_max: int = 6) -> IdentityReport:
+def selections_oracle_suite(n_max: int = 8) -> IdentityReport:
     """Brute-force ball selections against the coefficient formulas."""
-    points = _selection_points(hi, n_max, k_max)
-    return sweep("selections-oracle", f"p, q in [1..{hi}]", (n_max, k_max), ("p", "q", "n", "k"), points)
+    points = _selection_points(n_max)
+    return sweep("selections-oracle", "p, q in [1..3]", (n_max, SELECTION_K_MAX), ("p", "q", "n", "k"), points)
 
 
-def _bipartite_points(alpha_max, n_max):
-    for alpha in range(1, alpha_max + 1):
+def _bipartite_points(n_max):
+    for alpha in (1, 2, 3):
         params = SeqParams(alpha, alpha)
         for n in range(n_max + 1):
             for k in range(n + 1):
@@ -419,11 +420,10 @@ def _bipartite_points(alpha_max, n_max):
                 yield alpha, n, k, counted, coeff_recurrence(params, n, k)
 
 
-def bipartite_oracle_suite(alpha_max: int = 3, n_max: int = 5) -> IdentityReport:
+def bipartite_oracle_suite(n_max: int = 5) -> IdentityReport:
     """Brute-force bipartite multigraph counts against the diagonal case."""
-    label = f"alpha in [1..{alpha_max}]"
-    points = _bipartite_points(alpha_max, n_max)
-    return sweep("bipartite-oracle", label, (n_max, n_max), ("alpha", "n", "k"), points)
+    points = _bipartite_points(n_max)
+    return sweep("bipartite-oracle", "alpha in [1..3]", (n_max, n_max), ("alpha", "n", "k"), points)
 
 
 ACYCLIC_BASE_COUNTS = (1, 1, 3, 25, 543)
@@ -447,18 +447,18 @@ def dag_oracle_suite(n_max: int = 4) -> IdentityReport:
     return sweep("acyclic-oracle", "p in {2, 3}", (n_max, n_max), ("p", "n"), _dag_points(n_max))
 
 
-def _volume_points(hi, n_max):
-    for p, q in pq_grid(1, hi):
+def _volume_points(n_max):
+    for p, q in POSITIVE_GRID:
         params = SeqParams(p, q)
         for n in range(1, n_max + 1):
             for k in range(1, n + 1):
                 yield p, q, n, k, volume_ratio(params, k, n), coeff_recurrence(params, n, n - k + 1)
 
 
-def volume_oracle_suite(hi: int = 3, n_max: int = 8) -> IdentityReport:
+def volume_oracle_suite(n_max: int = 8) -> IdentityReport:
     """Box-volume ratios against the coefficient triangle."""
-    points = _volume_points(hi, n_max)
-    return sweep("volume-oracle", f"p, q in [1..{hi}]", (n_max, n_max), ("p", "q", "n", "k"), points)
+    points = _volume_points(n_max)
+    return sweep("volume-oracle", "p, q in [1..3]", (n_max, n_max), ("p", "q", "n", "k"), points)
 
 
 def verify_inverse_relation(p_val: int, n_max: int = 8) -> IdentityReport:
@@ -486,16 +486,18 @@ def _given(**bounds: object) -> dict[str, object]:
     return {name: value for name, value in bounds.items() if value is not None}
 
 
-_IDENTITY_CALLS = {
-    "routes": lambda grid, n, order, alphas: [routes_suite(**_given(grid=grid, n_max=n))],
-    "gf": lambda grid, n, order, alphas: [gf_suite(**_given(grid=grid, n_max=n, order=order))],
-    "binomial": lambda grid, n, order, alphas: [binomial_suite(**_given(n_max=n))],
-    "orthogonality": lambda grid, n, order, alphas: [orthogonality_suite(**_given(grid=grid, n_max=n, s_max=n))],
-    "vandermonde": lambda grid, n, order, alphas: [vandermonde_suite(**_given(grid=grid, nm_max=n))],
-    "equal1": lambda grid, n, order, alphas: [equal1_suite(**_given(grid=grid, k_max=n))],
-    "inversion": lambda grid, n, order, alphas: [inversion_suite(**_given(grid=grid, order=n))],
-    "fibonomial": lambda grid, n, order, alphas: [fibonomial_suite(a, **_given(n_max=n)) for a in alphas],
-    "specializations": lambda grid, n, order, alphas: [specialization_suite(**_given(n_max=n))],
+_IDENTITY_CALLS = {  # name: call whose parameters are the ``run_verify`` options that the suite reads
+    "routes": lambda grid, n_max: [routes_suite(**_given(grid=grid, n_max=n_max))],
+    "gf": lambda grid, n_max, order: [gf_suite(**_given(grid=grid, n_max=n_max, order=order))],
+    "binomial": lambda n_max: [binomial_suite(**_given(n_max=n_max))],
+    "orthogonality": lambda grid, n_max: [orthogonality_suite(**_given(grid=grid, n_max=n_max))],
+    "vandermonde": lambda grid, n_max: [vandermonde_suite(**_given(grid=grid, nm_max=n_max))],
+    "equal1": lambda grid, n_max: [equal1_suite(**_given(grid=grid, k_max=n_max))],
+    "inversion": lambda grid, n_max: [inversion_suite(**_given(grid=grid, order=n_max))],
+    "fibonomial": lambda n_max, alpha: [
+        fibonomial_suite(a, **_given(n_max=n_max)) for a in ((1, 2) if alpha is None else (alpha,))
+    ],
+    "specializations": lambda n_max: [specialization_suite(**_given(n_max=n_max))],
 }
 
 _ORACLE_CALLS = {  # name: (largest n_max the brute-force counters accept, call)
@@ -511,6 +513,11 @@ IDENTITY_SUITES = tuple(_IDENTITY_CALLS)
 ORACLE_SUITES = tuple(_ORACLE_CALLS)
 
 
+def _reads(call) -> tuple[str, ...]:
+    """The parameter names of an identity call: the options its suite reads."""
+    return call.__code__.co_varnames[: call.__code__.co_argcount]
+
+
 def run_verify(
     identity: str,
     grid: Grid | None = None,
@@ -519,13 +526,20 @@ def run_verify(
     alpha: int | None = None,
 ) -> list[IdentityReport]:
     """Run one named identity suite (or all of them) and collect reports;
-    a bound left as None takes the suite's default, and ``alpha`` replaces
-    the fibonomial suite's default multipliers 1 and 2 with that one."""
+    an option left as None takes the suite's default, and ``alpha`` replaces
+    the fibonomial suite's default multipliers 1 and 2 with that one.  A
+    suite given an option it does not read raises ValueError; ``all`` passes
+    each option only to the suites that read it."""
+    options = {"grid": grid, "n_max": n_max, "order": order, "alpha": alpha}
     if identity == "all":
-        return [report for name in IDENTITY_SUITES for report in run_verify(name, grid, n_max, order, alpha)]
+        return [report for call in _IDENTITY_CALLS.values() for report in call(*map(options.get, _reads(call)))]
     if identity not in _IDENTITY_CALLS:
         raise ValueError(f"unknown identity suite {identity!r}")
-    return _IDENTITY_CALLS[identity](grid, n_max, order, (1, 2) if alpha is None else (alpha,))
+    call = _IDENTITY_CALLS[identity]
+    unread = [name for name, value in options.items() if value is not None and name not in _reads(call)]
+    if unread:
+        raise ValueError(f"the {identity} suite does not read {', '.join(unread)}")
+    return call(*map(options.get, _reads(call)))
 
 
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:

@@ -61,7 +61,7 @@ def test_criterion_03_binomial_like_symbolic():
 
 
 def test_criterion_04_orthogonality():
-    _criterion(4, "series orthogonality, n <= 8, s <= 8", [orthogonality_suite(n_max=8, s_max=8)])
+    _criterion(4, "series orthogonality, n <= 8, s <= 8", [orthogonality_suite(n_max=8)])
 
 
 def test_criterion_05_vandermonde_resolution():
@@ -90,8 +90,8 @@ def test_criterion_07_triangle_inversion():
 
 def test_criterion_08_combinatorial_oracles():
     reports = [
-        selections_oracle_suite(n_max=8, k_max=6),
-        bipartite_oracle_suite(alpha_max=3, n_max=5),
+        selections_oracle_suite(n_max=8),
+        bipartite_oracle_suite(n_max=5),
         dag_oracle_suite(n_max=4),
     ]
     reports.extend(verify_inverse_relation(p_val, n_max=8) for p_val in (2, 3))

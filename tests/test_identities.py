@@ -33,17 +33,17 @@ params_23 = SeqParams(2, 3)
 
 class TestProductExpansions:
     def test_subset_expansion_frozen(self):
-        assert expand_subset_gf(2, params_23, 5).coefficients == (1, -5, 6, 0, 0)
+        assert expand_subset_gf(2, params_23, 5) == (1, -5, 6, 0, 0)
 
     def test_multiset_expansion_frozen(self):
         # for two boxes the k-th coefficient is the (k+1)-st sequence term
-        assert expand_multiset_gf(2, 5, params_23).coefficients == (1, 5, 19, 65, 211)
+        assert expand_multiset_gf(2, 5, params_23) == (1, 5, 19, 65, 211)
 
     def test_split_expansion_frozen(self):
-        assert expand_split_gf(3, params_23).coefficients == (8, -38, 57, -27)
+        assert expand_split_gf(3, params_23) == (8, -38, 57, -27)
 
     def test_symbolic_subset_expansion(self):
-        coeffs = expand_subset_gf(2).coefficients
+        coeffs = expand_subset_gf(2)
         p, q = BiPoly.var_p(), BiPoly.var_q()
         assert coeffs[0] == BiPoly.one()
         assert coeffs[1] == -(p + q)
@@ -65,17 +65,17 @@ class TestProductExpansions:
                     (-1) ** k * q ** (k * (k - 1) // 2) * p ** ((n - k) * (n - k - 1) // 2) * c
                     for k, c in enumerate(row)
                 ]
-                assert list(expand_subset_gf(n, params, n + 3).coefficients) == subset + [0, 0], (p, q, n)
-                assert list(expand_split_gf(n, params).coefficients) == split, (p, q, n)
+                assert list(expand_subset_gf(n, params, n + 3)) == subset + [0, 0], (p, q, n)
+                assert list(expand_split_gf(n, params)) == split, (p, q, n)
                 if n >= 1:
                     multiset = [coeff_recurrence(params, n + k - 1, k) for k in range(8)]
-                    assert list(expand_multiset_gf(n, 8, params).coefficients) == multiset, (p, q, n)
+                    assert list(expand_multiset_gf(n, 8, params)) == multiset, (p, q, n)
 
     def test_subset_times_multiset_is_one(self):
         for n in range(1, 7):
             a = expand_subset_gf(n, params_23, 9)
             b = expand_multiset_gf(n, 9, params_23)
-            assert a * b == XSeries.one(9)
+            assert XSeries(a) * XSeries(b) == XSeries((1, 0, 0, 0, 0, 0, 0, 0, 0))
 
 
 EVAL_POINTS = ((2, 3), (-3, 2), (0, 2), (2, 2))
@@ -85,7 +85,7 @@ P, Q = BiPoly.var_p(), BiPoly.var_q()
 
 
 def _evaluated(series, p, q):
-    return [c.eval(p, q) for c in series.coefficients]
+    return [c.eval(p, q) for c in series]
 
 
 def _c2(k):
@@ -107,7 +107,7 @@ class TestSymbolicMatchesNumeric:
                 if n >= 1:
                     pairs.append((expand_multiset_gf(n, order, None), expand_multiset_gf(n, order, params)))
                 for symbolic, numeric in pairs:
-                    assert _evaluated(symbolic, p, q) == list(numeric.coefficients)
+                    assert _evaluated(symbolic, p, q) == list(numeric)
 
     @pytest.mark.parametrize("p, q", EVAL_POINTS)
     def test_binomial_expansions(self, p, q):
@@ -124,7 +124,7 @@ class TestSymbolicMatchesNumeric:
             }
             for form, (factors, numeric) in forms.items():
                 linear = series_product(factors, n + 1, BiPoly.one())
-                signed = [(-1) ** k * c for k, c in enumerate(numeric.coefficients)]
+                signed = [(-1) ** k * c for k, c in enumerate(numeric)]
                 assert _evaluated(linear, p, q)[::-1] == signed, (n, form)
 
 
@@ -173,12 +173,12 @@ class TestCorruptedCoefficients:
         series = call(params)
 
         def points(shift):
-            for k in range(len(series.coefficients)):
+            for k in range(len(series)):
                 rhs = weight(p, q, k) * (coeff(*entry(k)) + shift * (k == 2))
                 yield 5, k, series[k], rhs
 
         clean = sweep(identity, "", (5, 5), ("n", "k"), points(0))
-        assert (clean.status, clean.checked) == ("holds", len(series.coefficients))
+        assert (clean.status, clean.checked) == ("holds", len(series))
         report = sweep(identity, "", (5, 5), ("n", "k"), points(1))
         w, true = weight(p, q, 2), coeff(*entry(2))
         assert report.first_counterexample == {"n": 5, "k": 2, "lhs": w * true, "rhs": w * (true + 1)}
@@ -195,7 +195,7 @@ class TestBinomialLike:
         for n in range(1, 7):
             for form, expand in self.EXPANDERS.items():
                 expected = binomial_like_expected(n, form, P, Q, coeff_symbolic)
-                assert list(expand(n).coefficients) == expected, (n, form)
+                assert list(expand(n)) == expected, (n, form)
 
     def test_numeric_params(self):
         # the Z[p, q] expansions evaluated at a pair, against the integer triangle
@@ -210,7 +210,7 @@ class TestBinomialLike:
 class TestOrthogonality:
     @given(st.integers(-3, 3), st.integers(-3, 3))
     def test_holds(self, p, q):
-        report = suites.orthogonality_suite([(p, q)], 7, 7)
+        report = suites.orthogonality_suite([(p, q)], 7)
         assert report.holds, report.first_counterexample
 
     def test_dot_product_is_series_coefficient(self):
@@ -222,7 +222,7 @@ class TestOrthogonality:
                     subset = expand_subset_gf(n, params, s + 1)
                     multiset = expand_multiset_gf(n, s + 1, params)
                     dot = sum(subset[i] * multiset[s - i] for i in range(s + 1))
-                    assert dot == (subset * multiset)[s], (p, q, n, s)
+                    assert dot == (XSeries(subset) * XSeries(multiset)).coefficients[s], (p, q, n, s)
 
     def test_equals_the_check_on_series_expanded_once(self):
         # the orthogonality suite expands each n's series once, to order 9,
@@ -254,7 +254,7 @@ class TestOrthogonality:
             ("convolution", 1, 0), ("product-0", 1, 1), ("product-s", 0, 0),
         ]
         # and off the true series too
-        assert _orthogonal_sums(params, 2, 1, series[0].scale(2), series[1], rows) == [
+        assert _orthogonal_sums(params, 2, 1, tuple(2 * c for c in series[0]), series[1], rows) == [
             ("convolution", 0, 0), ("product-0", 2, 1), ("product-s", 0, 0),
         ]
 
@@ -460,16 +460,16 @@ class TestGaussian:
     def test_basis_at_one_point(self):
         # Phi_3 = (x - 1)(x - 2)(x - 4) = x**3 - 7x**2 + 14x - 8
         phi, assembled = gaussian_basis(2, 3)
-        assert phi.coefficients == (-8, 14, -7, 1)
-        assert assembled.coefficients == (0, 0, 0, 1)
-        assert [series.coefficients for series in gaussian_basis(3, 0)] == [(1,), (1,)]
+        assert phi == (-8, 14, -7, 1)
+        assert assembled == (0, 0, 0, 1)
+        assert gaussian_basis(3, 0) == ((1,), (1,))
 
     def test_power_basis_conversion(self):
         for q_val in (2, 3, -2):
             for n in range(7):
                 phi, assembled = gaussian_basis(q_val, n)
-                assert list(phi.coefficients) == [gaussian_inverse_entry(q_val, n, j) for j in range(n + 1)]
-                assert list(assembled.coefficients) == [int(j == n) for j in range(n + 1)]
+                assert list(phi) == [gaussian_inverse_entry(q_val, n, j) for j in range(n + 1)]
+                assert list(assembled) == [int(j == n) for j in range(n + 1)]
 
     def test_basis_rejects_negative_n(self):
         with pytest.raises(ValueError):

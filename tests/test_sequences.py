@@ -30,13 +30,9 @@ def term_symbolic(n: int) -> BiPoly:
     return BiPoly({(i - 1, n - i): 1 for i in range(1, n + 1)})
 
 
-def geometric_series(lam, order: int) -> XSeries:
-    """Expansion of 1 / (1 - lam*x) to the given order: sum of lam**j x**j."""
-    one = lam**0
-    coeffs = [one]
-    for _ in range(max(order - 1, 0)):
-        coeffs.append(coeffs[-1] * lam)
-    return XSeries(coeffs, order, zero=one * 0)
+def geometric_series(lam, order: int) -> tuple:
+    """Coefficients 0..order-1 of 1 / (1 - lam*x): lam**j at x**j."""
+    return tuple(lam**j for j in range(order))
 
 
 def gf_coefficients(params: SeqParams, count: int) -> list[int]:
@@ -44,7 +40,7 @@ def gf_coefficients(params: SeqParams, count: int) -> list[int]:
     the truncated product of the two geometric factors, shifted by one."""
     if count == 0:
         return [0]
-    prod = geometric_series(params.p, count) * geometric_series(params.q, count)
+    prod = XSeries(geometric_series(params.p, count)) * XSeries(geometric_series(params.q, count))
     return [0] + [params.scale * c for c in prod.coefficients[:count]]
 
 

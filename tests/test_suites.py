@@ -14,7 +14,7 @@ import pytest
 from tnomial import coefficients, identities, oracles, suites
 from tnomial.errors import BudgetExceededError
 from tnomial.report import IdentityReport
-from tnomial.rings import BiPoly, XSeries
+from tnomial.rings import BiPoly
 from tnomial.sequences import SeqParams
 from tnomial.suites import (
     IDENTITY_SUITES,
@@ -51,11 +51,64 @@ def test_sample_grid_deterministic():
     assert sample_grid(grid, 500, seed=1) == grid
 
 
+# the run_verify options each identity suite reads
+READS = {
+    "routes": {"grid", "n_max"},
+    "gf": {"grid", "n_max", "order"},
+    "binomial": {"n_max"},
+    "orthogonality": {"grid", "n_max"},
+    "vandermonde": {"grid", "n_max"},
+    "equal1": {"grid", "n_max"},
+    "inversion": {"grid", "n_max"},
+    "fibonomial": {"n_max", "alpha"},
+    "specializations": {"n_max"},
+}
+OPTIONS = {"grid": [(2, 3)], "n_max": 2, "order": 3, "alpha": 3}
+
+
 def test_every_identity_suite_holds_small():
     small = pq_grid(-1, 2)
     for name in IDENTITY_SUITES:
-        for report in run_verify(name, grid=small, n_max=4):
+        for report in run_verify(name, grid=small if "grid" in READS[name] else None, n_max=4):
             assert report.holds, (name, report.first_counterexample)
+
+
+def test_run_verify_rejects_an_option_the_suite_does_not_read(monkeypatch):
+    monkeypatch.setattr(suites, "sweep", lambda *args: pytest.fail("a suite ran"))
+    assert set(READS) == set(IDENTITY_SUITES)
+    for name, reads in READS.items():
+        for option in OPTIONS.keys() - reads:
+            with pytest.raises(ValueError, match=f"the {name} suite does not read {option}"):
+                run_verify(name, **{option: OPTIONS[option]})
+    with pytest.raises(ValueError, match="does not read order, alpha"):
+        run_verify("routes", order=3, alpha=5)
+
+
+def test_run_verify_all_passes_each_option_to_the_suites_that_read_it():
+    expected = [
+        report
+        for name, reads in READS.items()
+        for report in run_verify(name, **{option: OPTIONS[option] for option in reads})
+    ]
+    assert run_verify("all", **OPTIONS) == expected
+    assert [report.bounds for report in expected[:2]] == [(2, 2), (2, 3)]
+    assert [report.identity_id for report in expected[-2:]] == ["fibonomial", "specializations"]
+    assert expected[-2].params == "alpha=3"
+
+
+GRID_SUITES = (routes_suite, gf_suite, orthogonality_suite, vandermonde_suite, equal1_suite, inversion_suite)
+
+
+def test_every_grid_suite_is_vacuous_on_an_empty_grid():
+    assert len(GRID_SUITES) == sum("grid" in reads for reads in READS.values())
+    for suite in GRID_SUITES:
+        report = suite(grid=[])
+        assert (report.status, report.checked, report.params) == ("vacuous", 0, "empty grid"), suite.__name__
+    reports = run_verify("all", grid=[])
+    assert [report.identity_id for report in reports if not report.holds] == [
+        "route-agreement", "gf-coherence", "orthogonality", "vandermonde", "unit-sum", "inversion",
+    ]
+    assert all(report.status == "vacuous" for report in reports if not report.holds)
 
 
 def test_every_oracle_suite_holds_small():
@@ -82,10 +135,11 @@ def test_run_verify_passes_alpha_to_the_fibonomial_suite():
     assert run_verify("fibonomial", n_max=6, alpha=3) == [fibonomial_suite(3, 6)]
 
 
-def test_selections_oracle_raises_past_its_cap():
+def test_selections_oracle_raises_past_its_cap(monkeypatch):
     # k_max past the counter's cap k <= 6 raises, not a HOLDS over k <= 6 only
+    monkeypatch.setattr(suites, "SELECTION_K_MAX", 7)
     with pytest.raises(BudgetExceededError):
-        selections_oracle_suite(k_max=7)
+        selections_oracle_suite()
 
 
 def _imports_sweep(node) -> bool:
@@ -127,7 +181,7 @@ def mismatches(points):
 
 def test_orthogonality_violation_is_a_failing_point(monkeypatch):
     corrupt_triangle_rows(monkeypatch, 3, 2)
-    report = orthogonality_suite([(2, 3)], 4, 4)
+    report = orthogonality_suite([(2, 3)], 4)
     assert report.status == "fails"
     # n = 1: 5 + 5 series coefficients and 3 sums at each s, plus the
     # reversed sum at s = 1, pass; n = 2: 5 subset coefficients pass, and
@@ -197,7 +251,7 @@ def test_binomial_fails_on_a_corrupted_split_expansion(monkeypatch):
         series = expand(n, params)
         if (n, params) != (6, None):
             return series
-        return series + XSeries([0, 0, 0, pq], series.order, zero=BiPoly())
+        return tuple(c + pq * (k == 3) for k, c in enumerate(series))
 
     monkeypatch.setattr(suites, "expand_split_gf", corrupted)
     report = binomial_suite()
@@ -227,11 +281,11 @@ def test_orthogonality_expands_each_series_once_per_n(monkeypatch):
 
         for module in (identities, suites):
             monkeypatch.setattr(module, name, counting)
-    report = orthogonality_suite([(2, 3)], 5, 7)
+    report = orthogonality_suite([(2, 3)], 5)
     assert calls == {"expand_subset_gf": 5, "expand_multiset_gf": 5}
-    # per n: 8 subset and 8 multiset coefficients, 3 sums per s and the
-    # reversed sum at s = n
-    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 7), "holds", checked=190)
+    # per n: 6 subset and 6 multiset coefficients, 3 sums at each s <= 5
+    # and the reversed sum at s = n
+    assert report == IdentityReport("orthogonality", "p in [2..2], q in [3..3]", (5, 5), "holds", checked=140)
 
 
 def count_calls(monkeypatch, function) -> list[tuple]:
@@ -395,7 +449,7 @@ def test_specializations_compare_every_gaussian_basis_coefficient(monkeypatch, s
         expansions = list(basis(q_val, n))
         if (q_val, n) == location[:2]:
             k = location[2]
-            expansions[series] = expansions[series] + XSeries([0] * k + [1], n + 1, zero=0)
+            expansions[series] = tuple(c + (j == k) for j, c in enumerate(expansions[series]))
         return tuple(expansions)
 
     monkeypatch.setattr(suites, "gaussian_basis", off_by_one)
