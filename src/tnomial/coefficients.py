@@ -9,7 +9,8 @@ routes is meaningful evidence:
 * factorial ratio of term factorials,
 * the additive triangle recurrence (also symbolically over Z[p, q]),
 * a telescoping product of term ratios, as one exact integer quotient,
-* multiset / subset sums of box weights q**(i-1) * p**(n-i),
+* multiset / subset sums of box weights q**(i-1) * p**(n-i), past 64 boxes
+  over two half boxes whose weights are scaled back in one join,
 * an alternating partial-fraction sum over the nodes q**s * p**(k-s).
 
 All routes ignore the sequence ``scale``: the factorial route cancels it
@@ -32,7 +33,7 @@ from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
 _CACHE_LIMIT = 128  # memoized rows per triangle; rows past it are rebuilt, not cached
 _MAX_PAIRS = 64
-_SUBSET_SPLIT_BOXES = 64  # fewest boxes the subset sum splits in halves (measured crossover)
+_SPLIT_BOXES = 64  # fewest boxes the subset and multiset sums split in halves (measured crossover)
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -287,26 +288,35 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
     """Sum of weight products over all k-multisets of the n box weights.
 
     Evaluates sum over 1 <= b_1 <= ... <= b_k <= n of w(b_1) * ... * w(b_k)
-    by the complete homogeneous recursion h(i, j) = h(i-1, j) + w_i * h(i, j-1);
-    the value equals C(n + k - 1, k).
+    by the complete homogeneous recursion h(i, j) = h(i-1, j) + w_i * h(i, j-1),
+    split in two scaled half boxes as ``coeff_lambda_subset`` splits its sum:
+    h_k = sum over j of a**j * b**(k-j) * h_j(h boxes) * h_(k-j)(n - h boxes),
+    with j = 0..k, as a box may be chosen again.  The value equals
+    C(n + k - 1, k).
     """
-    return _complete_sums(params, n, k)[k]
-
-
-def lambda_multiset_row(params: SeqParams, n: int) -> list[int]:
-    """h_0..h_n of the n box weights: entry k equals ``coeff_lambda_multiset``."""
-    return _complete_sums(params, n, n)
-
-
-def _complete_sums(params: SeqParams, n: int, k: int) -> list[int]:
-    """h_0..h_k of the n box weights, in one pass over the boxes."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    h = [0] * (k + 1)
-    h[0] = 1
-    for w in box_weights(params, n):
+    if n < _SPLIT_BOXES:
+        return _complete_sums(box_weights(params, n), k)[k]
+    h = n // 2
+    left = _complete_sums(box_weights(params, h), k)
+    right = _complete_sums(box_weights(params, n - h), k)
+    return _join_scaled_halves(left, right, params.p ** (n - h), params.q**h, 0, k)
+
+
+def lambda_multiset_row(params: SeqParams, n: int) -> list[int]:
+    """h_0..h_n of the n box weights: entry k equals ``coeff_lambda_multiset``."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return _complete_sums(box_weights(params, n), n)
+
+
+def _complete_sums(weights: list[int], k: int) -> list[int]:
+    """h_0..h_k of the weights, in one pass over them."""
+    h = [1] + [0] * k
+    for w in weights:
         for j in range(1, k + 1):
             h[j] += w * h[j - 1]
     return h
@@ -316,21 +326,26 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
     """Sum of weight products over all k-subsets of the n box weights.
 
     Evaluates sum over 1 <= b_1 < ... < b_k <= n of w(b_1) * ... * w(b_k)
-    grouped by the number j of chosen boxes among the first h = n // 2:
-    e_k = sum over j of e_j(first h weights) * e_(k-j)(last n - h weights),
-    each half by its own elementary recursion (``_elementary_sums``), so the
-    second half starts again from small j.  Below ``_SUBSET_SPLIT_BOXES``
-    boxes h = 0, one band over all of them, which costs less there.  The
-    value equals C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
+    grouped by the number j of chosen boxes among the first h = n // 2.  The
+    weights of boxes 1..h are a = p**(n-h) times the weights of h boxes, those
+    of boxes h+1..n are b = q**h times the weights of n - h boxes, and scaling
+    every weight by c scales e_j by c**j, so
+    e_k = sum over j of a**j * b**(k-j) * e_j(h boxes) * e_(k-j)(n - h boxes):
+    each half runs its own elementary recursion (``_elementary_sums``) over
+    the weights of its own smaller box, on numbers of about half the size,
+    and the second half starts again from small j.  Below ``_SPLIT_BOXES``
+    boxes one band over all of them costs less.  The value equals
+    C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    weights = box_weights(params, n)
-    h = n // 2 if n >= _SUBSET_SPLIT_BOXES else 0
+    if n < _SPLIT_BOXES:
+        return _elementary_sums(box_weights(params, n), k, k)[k]
+    h = n // 2
     lo, hi = max(0, k - (n - h)), min(h, k)
-    left = _elementary_sums(weights[:h], hi, lo)[lo : hi + 1]
-    right = _elementary_sums(weights[h:], k - lo, k - hi)[k - hi : k - lo + 1]
-    return sum(map(mul, left, reversed(right)))
+    left = _elementary_sums(box_weights(params, h), hi, lo)[lo : hi + 1]
+    right = _elementary_sums(box_weights(params, n - h), k - lo, k - hi)[k - hi : k - lo + 1]
+    return _join_scaled_halves(left, right, params.p ** (n - h), params.q**h, lo, k)
 
 
 def lambda_subset_row(params: SeqParams, n: int) -> list[int]:
@@ -353,6 +368,22 @@ def _elementary_sums(weights: list[int], k: int, low: int) -> list[int]:
         for j in range(min(i, k), max(1, low - (m - i)) - 1, -1):
             e[j] += w * e[j - 1]
     return e
+
+
+def _join_scaled_halves(left: list[int], right: list[int], a: int, b: int, lo: int, k: int) -> int:
+    """Sum over j = lo..hi of a**j * b**(k-j) * L_j * R_(k-j), where ``left``
+    holds L_lo..L_hi and ``right`` holds R_(k-hi)..R_(k-lo).
+
+    Joins the weight sums of two halves of the boxes whose weights are a and
+    b times the weights they were summed over; each route passes in its own
+    sums.  Horner in a over j from hi down, with a running power of b: one
+    product per term and no power of its own.
+    """
+    acc, b_power = 0, 1
+    for x, y in zip(reversed(left), right):
+        acc = acc * a + x * y * b_power
+        b_power *= b
+    return acc * a**lo * b ** (k - lo - len(left) + 1)
 
 
 def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:

@@ -91,6 +91,19 @@ def full_subset_sum(params, n, k):
     return e[k]
 
 
+def full_multiset_sum(params, n, k):
+    """The complete recursion over every h(i, j), j = 1..k, in one pass over the n boxes."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    h = [1] + [0] * k
+    for w in box_weights(params, n):
+        for j in range(1, k + 1):
+            h[j] += w * h[j - 1]
+    return h[k]
+
+
 def factorial_ratio(params, n, k):
     """[n]! / ([k]! [n-k]!) with nothing cancelled."""
     coefficients._check_indices(n, k)
@@ -261,10 +274,32 @@ class TestRewrittenRoutesAgainstReferences:
 
     def test_subset_split_at_every_n_matches_the_full_loop(self, monkeypatch):
         # the halves' edge cases (k = 0, k = n, k > n, an empty first half)
-        monkeypatch.setattr(coefficients, "_SUBSET_SPLIT_BOXES", 0)
+        monkeypatch.setattr(coefficients, "_SPLIT_BOXES", 0)
         for params, n, k in self.small_grid + [(params_23, -1, 0)]:
             expected = outcome(full_subset_sum, params, n, k)
             assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)
+
+    def test_multiset_split_matches_the_full_loop(self):
+        # big entries past the split: odd splits (151 and 65 boxes) and even ones,
+        # k above the box count, and vanishing half factors p**(n-h) or q**h
+        big = [
+            (SeqParams(-3, 2), 151, 150),
+            (SeqParams(2, 3), 120, 61),
+            (SeqParams(3, -2), 65, 90),
+            (SeqParams(0, 2), 64, 5),
+            (SeqParams(2, 0), 64, 5),
+            (SeqParams(2, -2), 80, 40),
+        ]
+        for params, n, k in self.small_grid + big:
+            expected = outcome(full_multiset_sum, params, n, k)
+            assert outcome(coeff_lambda_multiset, params, n, k) == expected, (params, n, k)
+
+    def test_multiset_split_at_every_n_matches_the_full_loop(self, monkeypatch):
+        # the halves' edge cases (k = 0, k > n, an empty first half at n = 1)
+        monkeypatch.setattr(coefficients, "_SPLIT_BOXES", 0)
+        for params, n, k in self.small_grid + [(params_23, 1, 9), (params_23, 3, 20)]:
+            expected = outcome(full_multiset_sum, params, n, k)
+            assert outcome(coeff_lambda_multiset, params, n, k) == expected, (params, n, k)
 
     @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (0, 2), (2, 0), (2, 2), (2, -2), (0, 0)])
     def test_recurrence_windows_past_cache_limit(self, pq, monkeypatch):
@@ -388,6 +423,14 @@ class TestRouteAgreement:
 
     def test_multiset_route_above_diagonal(self):
         assert coeff_route(params_23, 2, 5, "multiset") == 0
+
+    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2)])
+    def test_split_weight_sums_match_the_factorial_route(self, pq):
+        # 300 boxes for the subset sum and 151 for the multiset sum, both split
+        params = SeqParams(*pq)
+        expected = coeff_factorial(params, 300, 150)
+        assert coeff_route(params, 300, 150, "subset") == expected
+        assert coeff_route(params, 300, 150, "multiset") == expected
 
 
 class TestStructuralIdentities:

@@ -47,6 +47,10 @@ SHARED = {  # qualified name: (the routes that may share it, why)
         frozenset({"subset", "multiset"}),
         "the box weights q**(i-1) * p**(n-i) are what both weight sums are defined over",
     ),
+    "coefficients._join_scaled_halves": (
+        frozenset({"subset", "multiset"}),
+        "combines two halves' weight sums; each route passes in its own sums",
+    ),
     "coefficients._share_mirrored": (
         RECURRENCE | TRIANGLE,
         "stores equal mirrored entries once; it compares entries and computes none",
