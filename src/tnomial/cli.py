@@ -24,15 +24,11 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
 from .coefficients import ROUTE_NAMES, coeff_route, coeff_symbolic, triangle_rows
-from .errors import (
-    BudgetExceededError,
-    DegenerateParametersError,
-    DivisibilityError,
-    ParameterMismatchError,
-)
+from .errors import BudgetExceededError, DivisibilityError
 from .report import IdentityReport, decimal_str
 from .sequences import SeqParams
 from .suites import (
+    IDENTITY_OPTIONS,
     IDENTITY_SUITES,
     ORACLE_SUITES,
     pq_grid,
@@ -184,6 +180,8 @@ def _check_bounds(args: SimpleNamespace) -> None:
         raise UsageError("--max must be nonnegative")
     if getattr(args, "order", None) is not None and args.order < 1:
         raise UsageError("--order must be positive")
+    if getattr(args, "alpha", None) is not None and args.alpha < 1:
+        raise UsageError("--alpha must be positive")
 
 
 def _verify_grid(args: SimpleNamespace) -> list[tuple[int, int]] | None:
@@ -203,12 +201,13 @@ def _verify_grid(args: SimpleNamespace) -> list[tuple[int, int]] | None:
 def _cmd_verify(args: SimpleNamespace, out) -> int:
     grid = _verify_grid(args)
     _check_bounds(args)
-    if grid is not None and args.identity in ("binomial", "fibonomial", "specializations"):
+    reads = IDENTITY_OPTIONS[args.identity]
+    if grid is not None and "grid" not in reads:
         raise UsageError(f"--p, --q and --sample do not apply to the {args.identity} suite")
-    if args.order is not None and args.identity not in ("gf", "all"):
-        raise UsageError("--order only applies to the gf suite")
-    if args.alpha is not None and args.identity != "fibonomial":
-        raise UsageError("--alpha only applies to the fibonomial suite")
+    for option in ("order", "alpha"):
+        if getattr(args, option) is not None and option not in reads:
+            readers = " and ".join(name for name in IDENTITY_SUITES if option in IDENTITY_OPTIONS[name])
+            raise UsageError(f"--{option} only applies to the {readers} suite")
     reports = run_verify(args.identity, grid, args.max, args.order, args.alpha)
     return _emit_reports(reports, args.format, out)
 
@@ -335,14 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (
-        UsageError,
-        BudgetExceededError,
-        DegenerateParametersError,
-        DivisibilityError,
-        ParameterMismatchError,
-        ValueError,
-    ) as exc:
+    except (UsageError, BudgetExceededError, DivisibilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb
 from operator import mul
 
@@ -279,6 +279,8 @@ def _rows(rows_of, params: SeqParams, n_max: int):
 
 
 def _inversion_points(grid, order):
+    if order < 0:  # no entries: the two products of empty matrices would hold on nothing
+        return
     size = order + 1
     identity = TriMatrix.identity(size)
     for p, q in grid:
@@ -513,9 +515,12 @@ IDENTITY_SUITES = tuple(_IDENTITY_CALLS)
 ORACLE_SUITES = tuple(_ORACLE_CALLS)
 
 
-def _reads(call) -> tuple[str, ...]:
-    """The parameter names of an identity call: the options its suite reads."""
-    return call.__code__.co_varnames[: call.__code__.co_argcount]
+IDENTITY_OPTIONS = {
+    name: call.__code__.co_varnames[: call.__code__.co_argcount] for name, call in _IDENTITY_CALLS.items()
+}
+"""The ``run_verify`` options each identity suite reads, its call's
+parameter names; ``all`` reads each option that some suite reads."""
+IDENTITY_OPTIONS["all"] = tuple(dict.fromkeys(chain.from_iterable(IDENTITY_OPTIONS.values())))
 
 
 def run_verify(
@@ -528,18 +533,16 @@ def run_verify(
     """Run one named identity suite (or all of them) and collect reports;
     an option left as None takes the suite's default, and ``alpha`` replaces
     the fibonomial suite's default multipliers 1 and 2 with that one.  A
-    suite given an option it does not read raises ValueError; ``all`` passes
-    each option only to the suites that read it."""
-    options = {"grid": grid, "n_max": n_max, "order": order, "alpha": alpha}
-    if identity == "all":
-        return [report for call in _IDENTITY_CALLS.values() for report in call(*map(options.get, _reads(call)))]
-    if identity not in _IDENTITY_CALLS:
+    suite given an option it does not read (see ``IDENTITY_OPTIONS``) raises
+    ValueError; ``all`` passes each option only to the suites that read it."""
+    if identity not in IDENTITY_OPTIONS:
         raise ValueError(f"unknown identity suite {identity!r}")
-    call = _IDENTITY_CALLS[identity]
-    unread = [name for name, value in options.items() if value is not None and name not in _reads(call)]
+    options = {"grid": grid, "n_max": n_max, "order": order, "alpha": alpha}
+    unread = [name for name, value in options.items() if value is not None and name not in IDENTITY_OPTIONS[identity]]
     if unread:
         raise ValueError(f"the {identity} suite does not read {', '.join(unread)}")
-    return call(*map(options.get, _reads(call)))
+    names = IDENTITY_SUITES if identity == "all" else (identity,)
+    return [report for name in names for report in _IDENTITY_CALLS[name](*map(options.get, IDENTITY_OPTIONS[name]))]
 
 
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from tnomial import cli, coefficients
+from tnomial import cli, coefficients, suites
 from tnomial.coefficients import coeff_factorial, coeff_recurrence, triangle_rows
 from tnomial.report import IdentityReport
 from tnomial.sequences import SeqParams
+from tnomial.suites import IDENTITY_OPTIONS, IDENTITY_SUITES
 
 
 def run_cli(*argv, capsys=None):
@@ -369,6 +370,52 @@ class TestVerify:
         rc, out, err = run_cli("verify", *argv, capsys=capsys)
         assert (rc, out) == (2, "")
         assert err == f"error: --p, --q and --sample do not apply to the {argv[1]} suite\n"
+
+    @pytest.mark.parametrize("identity", [*IDENTITY_SUITES, "all"])
+    @pytest.mark.parametrize(
+        "option, flags, value",
+        [
+            ("grid", ("--p", "2", "--q", "3"), [(2, 3)]),
+            ("grid", ("--sample", "2"), [(2, 3)]),
+            ("order", ("--order", "3"), 3),
+            ("alpha", ("--alpha", "2"), 2),
+        ],
+    )
+    def test_option_accepted_exactly_where_the_suite_reads_it(
+        self, identity, option, flags, value, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "run_verify", lambda *args: calls.append(args) or [])
+        monkeypatch.setattr(suites, "sweep", lambda *args: None)  # the suite run_verify calls below compares nothing
+        rc, out, err = run_cli("verify", "--identity", identity, *flags, capsys=capsys)
+        if option in IDENTITY_OPTIONS[identity]:
+            assert (rc, out, err, len(calls)) == (0, "", "", 1)
+            suites.run_verify(identity, **{option: value})
+            return
+        if option == "grid":
+            message = f"--p, --q and --sample do not apply to the {identity} suite"
+        else:
+            readers = [name for name in IDENTITY_SUITES if option in IDENTITY_OPTIONS[name]]
+            assert readers and identity not in readers
+            message = f"--{option} only applies to the {' and '.join(readers)} suite"
+        assert (rc, out, err, calls) == (2, "", f"error: {message}\n", [])
+        with pytest.raises(ValueError, match=f"the {identity} suite does not read {option}$"):
+            suites.run_verify(identity, **{option: value})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--alpha", "0"), ("--identity", "fibonomial", "--alpha", "-1"), ("--identity", "routes", "--alpha", "0")],
+    )
+    def test_alpha_below_one_rejected_before_any_suite(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_verify", lambda *args: pytest.fail("a suite ran"))
+        rc, out, err = run_cli("verify", *argv, capsys=capsys)
+        assert (rc, out, err) == (2, "", "error: --alpha must be positive\n")
+
+    def test_alpha_with_all_runs_the_fibonomial_suite_at_that_alpha(self, capsys):
+        rc, out, err = run_cli("verify", "--alpha", "3", "--max", "1", "--format", "csv", capsys=capsys)
+        assert (rc, err) == (0, "")
+        rows = [row[:2] for row in csv.reader(io.StringIO(out))]
+        assert [row for row in rows if row[0] == "fibonomial"] == [["fibonomial", "alpha=3"]]
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -17,6 +17,7 @@ from tnomial.report import IdentityReport
 from tnomial.rings import BiPoly
 from tnomial.sequences import SeqParams
 from tnomial.suites import (
+    IDENTITY_OPTIONS,
     IDENTITY_SUITES,
     ORACLE_SUITES,
     binomial_suite,
@@ -109,6 +110,21 @@ def test_every_grid_suite_is_vacuous_on_an_empty_grid():
         "route-agreement", "gf-coherence", "orthogonality", "vandermonde", "unit-sum", "inversion",
     ]
     assert all(report.status == "vacuous" for report in reports if not report.holds)
+
+
+def test_identity_options_list_what_each_suite_reads():
+    assert {name: set(reads) for name, reads in IDENTITY_OPTIONS.items()} == {**READS, "all": set(OPTIONS)}
+
+
+def test_no_identity_suite_holds_at_a_negative_bound():
+    # an empty index range compares nothing, not even two empty matrix products
+    for name in IDENTITY_SUITES:
+        try:
+            reports = run_verify(name, n_max=-1)
+        except ValueError:
+            continue
+        assert [(report.status, report.checked) for report in reports] == [("vacuous", 0)] * len(reports), name
+    assert run_verify("inversion", [(2, 3)], -1)[0].status == "vacuous"
 
 
 def test_every_oracle_suite_holds_small():
