@@ -10,7 +10,7 @@ routes is meaningful evidence:
 * the additive triangle recurrence (also symbolically over Z[p, q]),
 * a telescoping product of term ratios, as one exact integer quotient,
 * multiset / subset sums of box weights q**(i-1) * p**(n-i), past 64 boxes
-  over two half boxes whose weights are scaled back in one join,
+  from the sums of one half box, scaled back for both halves in one join,
 * an alternating partial-fraction sum over the nodes q**s * p**(k-s).
 
 All routes ignore the sequence ``scale``: the factorial route cancels it
@@ -291,8 +291,10 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
     by the complete homogeneous recursion h(i, j) = h(i-1, j) + w_i * h(i, j-1),
     split in two scaled half boxes as ``coeff_lambda_subset`` splits its sum:
     h_k = sum over j of a**j * b**(k-j) * h_j(h boxes) * h_(k-j)(n - h boxes),
-    with j = 0..k, as a box may be chosen again.  The value equals
-    C(n + k - 1, k).
+    with j = 0..k, as a box may be chosen again.  Only the h boxes are summed:
+    for odd n the h + 1 boxes are one box p**h and q times the h boxes, so
+    their sums are g_j = q**j * h_j + p**h * g_(j-1), ascending from g_0 = 1.
+    The value equals C(n + k - 1, k).
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -301,8 +303,13 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
     if n < _SPLIT_BOXES:
         return _complete_sums(box_weights(params, n), k)[k]
     h = n // 2
-    left = _complete_sums(box_weights(params, h), k)
-    right = _complete_sums(box_weights(params, n - h), k)
+    left = right = _complete_sums(box_weights(params, h), k)
+    if n % 2:
+        right, g, p_h, q_power = [], 0, params.p**h, 1
+        for x in left:
+            g = q_power * x + p_h * g
+            right.append(g)
+            q_power *= params.q
     return _join_scaled_halves(left, right, params.p ** (n - h), params.q**h, 0, k)
 
 
@@ -330,12 +337,14 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
     weights of boxes 1..h are a = p**(n-h) times the weights of h boxes, those
     of boxes h+1..n are b = q**h times the weights of n - h boxes, and scaling
     every weight by c scales e_j by c**j, so
-    e_k = sum over j of a**j * b**(k-j) * e_j(h boxes) * e_(k-j)(n - h boxes):
-    each half runs its own elementary recursion (``_elementary_sums``) over
-    the weights of its own smaller box, on numbers of about half the size,
-    and the second half starts again from small j.  Below ``_SPLIT_BOXES``
-    boxes one band over all of them costs less.  The value equals
-    C(n, k) * (p*q)**(k*(k-1)/2), and 0 when k > n.
+    e_k = sum over j of a**j * b**(k-j) * e_j(h boxes) * e_(k-j)(n - h boxes).
+    Only the h boxes are summed, over the band the join reads
+    (``_elementary_sums``).  For even n both halves read that band; for odd n
+    the h + 1 boxes are a box p**h and q times the h boxes, with sums
+    e'_j = q**j * e_j + p**h * q**(j-1) * e_(j-1) from the same band, which
+    reaches j = k - hi - 1.  Below ``_SPLIT_BOXES`` boxes one band over all
+    of them costs less.  The value equals C(n, k) * (p*q)**(k*(k-1)/2),
+    and 0 when k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
@@ -343,8 +352,11 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
         return _elementary_sums(box_weights(params, n), k, k)[k]
     h = n // 2
     lo, hi = max(0, k - (n - h)), min(h, k)
-    left = _elementary_sums(box_weights(params, h), hi, lo)[lo : hi + 1]
-    right = _elementary_sums(box_weights(params, n - h), k - lo, k - hi)[k - hi : k - lo + 1]
+    sums = _elementary_sums(box_weights(params, h), hi, lo)
+    left = right = sums[lo : hi + 1]
+    if n % 2:
+        e, p_h, q = [0, *sums, 0], params.p**h, params.q  # e[j + 1] = e_j
+        right = [q**j * e[j + 1] + p_h * q ** max(j - 1, 0) * e[j] for j in range(k - hi, k - lo + 1)]
     return _join_scaled_halves(left, right, params.p ** (n - h), params.q**h, lo, k)
 
 
@@ -372,18 +384,27 @@ def _elementary_sums(weights: list[int], k: int, low: int) -> list[int]:
 
 def _join_scaled_halves(left: list[int], right: list[int], a: int, b: int, lo: int, k: int) -> int:
     """Sum over j = lo..hi of a**j * b**(k-j) * L_j * R_(k-j), where ``left``
-    holds L_lo..L_hi and ``right`` holds R_(k-hi)..R_(k-lo).
+    holds L_lo..L_hi and ``right`` holds R_(k-hi)..R_(k-lo); 0 if they are empty.
 
     Joins the weight sums of two halves of the boxes whose weights are a and
     b times the weights they were summed over; each route passes in its own
-    sums.  Horner in a over j from hi down, with a running power of b: one
-    product per term and no power of its own.
+    sums.  With P_t = L_t * R_(k-t) the sum is a**lo * b**(k-hi) * S(lo, hi),
+    and S(i, j) = sum over t = i..j of a**(t-i) * b**(j-t) * P_t splits at the
+    middle m as b**(j-m) * S(i, m) + a**(m+1-i) * S(m+1, j): the factors of
+    each product grow together, and each power is computed once.
     """
-    acc, b_power = 0, 1
-    for x, y in zip(reversed(left), right):
-        acc = acc * a + x * y * b_power
-        b_power *= b
-    return acc * a**lo * b ** (k - lo - len(left) + 1)
+    terms = list(map(mul, left, reversed(right)))
+    if not terms:
+        return 0
+    a_power, b_power = cache(a.__pow__), cache(b.__pow__)
+
+    def fold(i: int, j: int) -> int:
+        if i == j:
+            return terms[i]
+        m = (i + j) // 2
+        return b_power(j - m) * fold(i, m) + a_power(m + 1 - i) * fold(m + 1, j)
+
+    return fold(0, len(terms) - 1) * a_power(lo) * b_power(k - lo - len(terms) + 1)
 
 
 def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:

@@ -82,17 +82,27 @@ def full_row_recurrence(params, n, k):
 
 def full_subset_sum(params, n, k):
     """The elementary recursion over every e(i, j), j = k..1, for each box."""
+    return full_subset_sums(params, n, k)[k]
+
+
+def full_subset_sums(params, n, k):
+    """e_0..e_k of the n box weights by ``full_subset_sum``'s loop."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
     e = [1] + [0] * k
     for w in box_weights(params, n):
         for j in range(k, 0, -1):
             e[j] += w * e[j - 1]
-    return e[k]
+    return e
 
 
 def full_multiset_sum(params, n, k):
     """The complete recursion over every h(i, j), j = 1..k, in one pass over the n boxes."""
+    return full_multiset_sums(params, n, k)[k]
+
+
+def full_multiset_sums(params, n, k):
+    """h_0..h_k of the n box weights by ``full_multiset_sum``'s loop."""
     if n < 1:
         raise ValueError("n must be positive")
     if k < 0:
@@ -101,7 +111,18 @@ def full_multiset_sum(params, n, k):
     for w in box_weights(params, n):
         for j in range(1, k + 1):
             h[j] += w * h[j - 1]
-    return h[k]
+    return h
+
+
+def horner_join(left, right, a, b, lo, k):
+    """The sum over j = lo..hi of a**j * b**(k-j) * L_j * R_(k-j), as
+    ``coefficients._join_scaled_halves`` takes it, by Horner in a from j = hi
+    down, with a running power of b."""
+    acc, b_power = 0, 1
+    for x, y in zip(reversed(left), right):
+        acc = acc * a + x * y * b_power
+        b_power *= b
+    return acc * a**lo * b ** (k - lo - len(left) + 1)
 
 
 def factorial_ratio(params, n, k):
@@ -266,8 +287,10 @@ class TestRewrittenRoutesAgainstReferences:
             assert outcome(coeff_product, params, n, k) == expected, (params, n, k)
 
     def test_subset_band_matches_the_full_loop(self):
-        # big entries whose two halves both carry a band, one of them an odd split
+        # big entries whose two halves both carry a band, one of them an odd split,
+        # and k = n + 1, n + 5 past the split, where no band is left to join
         big = [(SeqParams(2, 3), 101, 50), (SeqParams(-3, 2), 120, 61), (SeqParams(3, -2), 65, 33)]
+        big += [(SeqParams(*pq), n, n + d) for pq in [(2, 3), (-3, 2), (0, 3)] for n in (64, 65, 100) for d in (1, 5)]
         for params, n, k in self.small_grid + [(params_23, -1, 0)] + big:
             expected = outcome(full_subset_sum, params, n, k)
             assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)
@@ -300,6 +323,29 @@ class TestRewrittenRoutesAgainstReferences:
         for params, n, k in self.small_grid + [(params_23, 1, 9), (params_23, 3, 20)]:
             expected = outcome(full_multiset_sum, params, n, k)
             assert outcome(coeff_lambda_multiset, params, n, k) == expected, (params, n, k)
+
+    @pytest.mark.parametrize("n", [64, 65, 300, 301])
+    def test_shared_half_at_both_parities_matches_the_full_loop(self, n):
+        # even n reads the first half's sums twice, odd n extends them by the box p**h;
+        # (0, 3) and (3, 0) make p**h or q vanish, (2, -2) and (2, 2) have p = -q and p = q
+        for pq in [(2, 3), (-3, 2), (0, 3), (3, 0), (2, -2), (2, 2)]:
+            params = SeqParams(*pq)
+            subset_sums = full_subset_sums(params, n, n // 2 + 1)
+            multiset_sums = full_multiset_sums(params, n, n // 2 + 1)
+            for k in (0, n // 2 - 1, n // 2, n // 2 + 1):
+                assert coeff_lambda_subset(params, n, k) == subset_sums[k], (pq, n, k)
+                assert coeff_lambda_multiset(params, n, k) == multiset_sums[k], (pq, n, k)
+
+    @pytest.mark.parametrize("a, b", [(2, 3), (-3, 2), (3, -2), (-2, -3), (0, 3), (3, 0), (0, 0), (1, 1)])
+    def test_join_matches_the_horner_join(self, a, b):
+        # lo > 0, a single term, empty lists, and odd and even lengths up to 33 for the halving
+        for length in [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33]:
+            left = [3 * t - 7 for t in range(length)]
+            right = [(-2) ** t + t for t in range(length)]
+            for lo in (0, 1, 4):
+                k = lo + length + 2
+                expected = horner_join(left, right, a, b, lo, k)
+                assert coefficients._join_scaled_halves(left, right, a, b, lo, k) == expected, (length, lo)
 
     @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (0, 2), (2, 0), (2, 2), (2, -2), (0, 0)])
     def test_recurrence_windows_past_cache_limit(self, pq, monkeypatch):

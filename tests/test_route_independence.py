@@ -49,7 +49,8 @@ SHARED = {  # qualified name: (the routes that may share it, why)
     ),
     "coefficients._join_scaled_halves": (
         frozenset({"subset", "multiset"}),
-        "combines two halves' weight sums; each route passes in its own sums",
+        "joins two halves' weight sums by divide and conquer; each route passes in its own"
+        " sums, and for odd n extends its first half's sums to the second half in its own code",
     ),
     "coefficients._share_mirrored": (
         RECURRENCE | TRIANGLE,
