@@ -14,13 +14,13 @@ environment variable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 from operator import mul
 
 from .errors import BudgetExceededError, SingularMatrixError
+from .record import Record
 from .rings import exact_div
 from .sequences import SeqParams, term_closed
 
@@ -47,16 +47,16 @@ def _check_budget(size: int, what: str) -> None:
         raise BudgetExceededError(f"{what} would enumerate {size} objects, budget is {budget}")
 
 
-@dataclass(frozen=True)
-class BoxWeights:
+class BoxWeights(Record):
     """Positive ball counts for a row of boxes."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(self.weights))
-        if any(w < 1 for w in self.weights):
+    def __init__(self, weights: tuple[int, ...]) -> None:
+        weights = tuple(weights)
+        if any(w < 1 for w in weights):
             raise ValueError("box weights must be positive integers")
+        self._set(weights)
 
     @property
     def n(self) -> int:
@@ -170,18 +170,18 @@ def count_acyclic_multidigraphs_recurrence(p_val: int, n: int) -> int:
     return values[n]
 
 
-@dataclass(frozen=True)
-class TriMatrix:
+class TriMatrix(Record):
     """Lower-triangular matrix of exact numbers, ints or ``Fraction``s, kept
     as given; row i holds i + 1 entries.  Products are plain exact sums, so
     integer matrices multiply to an integer matrix."""
 
-    rows: tuple[tuple[int | Fraction, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self) -> None:
-        for i, row in enumerate(self.rows):
+    def __init__(self, rows: tuple[tuple[int | Fraction, ...], ...]) -> None:
+        for i, row in enumerate(rows):
             if len(row) != i + 1:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {i + 1}")
+        self._set(rows)
 
     @property
     def order(self) -> int:

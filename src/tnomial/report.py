@@ -3,9 +3,10 @@ and the one exact comparison driver that produces it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .record import Record
 
 
 def decimal_str(value: object) -> str:
@@ -29,8 +30,7 @@ def decimal_str(value: object) -> str:
     return decimal_str(high) + decimal_str(low).zfill(half)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Result of sweeping one identity over a parameter and index range.
 
     ``status`` is ``"holds"`` when every compared pair matched,
@@ -45,21 +45,25 @@ class IdentityReport:
     when ``status`` is ``"vacuous"``.
     """
 
-    identity_id: str
-    params: str
-    bounds: tuple[int, int]
-    status: str
-    first_counterexample: dict | None = None
-    notes: tuple[str, ...] = ()
-    checked: int = 0
+    __slots__ = ("identity_id", "params", "bounds", "status", "first_counterexample", "notes", "checked")
 
-    def __post_init__(self) -> None:
-        if self.status not in ("holds", "fails", "vacuous"):
-            raise ValueError(f"bad status {self.status!r}")
-        if (self.status == "fails") != (self.first_counterexample is not None):
+    def __init__(
+        self,
+        identity_id: str,
+        params: str,
+        bounds: tuple[int, int],
+        status: str,
+        first_counterexample: dict | None = None,
+        notes: tuple[str, ...] = (),
+        checked: int = 0,
+    ) -> None:
+        if status not in ("holds", "fails", "vacuous"):
+            raise ValueError(f"bad status {status!r}")
+        if (status == "fails") != (first_counterexample is not None):
             raise ValueError("status 'fails' must come with a counterexample and no other status may")
-        if self.checked < 0 or (self.status == "vacuous") != (self.checked == 0):
+        if checked < 0 or (status == "vacuous") != (checked == 0):
             raise ValueError("status 'vacuous' must come with checked == 0 and no other status may")
+        self._set(identity_id, params, bounds, status, first_counterexample, notes, checked)
 
     @property
     def holds(self) -> bool:

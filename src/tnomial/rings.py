@@ -8,12 +8,12 @@ power series over any of those coefficient rings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DivisibilityError, ParameterMismatchError
+from .record import Record
 
 
 _TWO_ADIC_BITS = 150_000
@@ -384,8 +384,7 @@ class QuadElem(_RingElement):
         return f"QuadElem({self.a}, {self.b}, alpha={self.alpha})"
 
 
-@dataclass(frozen=True)
-class XSeries:
+class XSeries(Record):
     """Formal power series in x truncated at ``len(coefficients)``:
     ``coefficients[k]`` is the coefficient of x**k.  A product keeps the
     shorter operand's length, and each coefficient it keeps agrees with the
@@ -393,7 +392,10 @@ class XSeries:
     add to the int 0, where ``sum`` starts.
     """
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple) -> None:
+        self._set(coefficients)
 
     def __mul__(self, other: XSeries) -> XSeries:
         a, b = self.coefficients, other.coefficients

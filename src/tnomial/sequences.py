@@ -10,23 +10,21 @@ tuning scale rescales every term by the same positive integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
+from .record import Record
 from .rings import balanced_product, exact_div
 
 
-@dataclass(frozen=True)
-class SeqParams:
+class SeqParams(Record):
     """Sequence parameters; ``scale`` is the value of the first term."""
 
-    p: int
-    q: int
-    scale: int = 1
+    __slots__ = ("p", "q", "scale")
 
-    def __post_init__(self) -> None:
-        if self.scale < 1:
+    def __init__(self, p: int, q: int, scale: int = 1) -> None:
+        if scale < 1:
             raise ValueError("scale must be a positive integer")
+        self._set(p, q, scale)
 
 
 def term_closed(params: SeqParams, n: int) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import replace
 from itertools import accumulate, chain
 from math import comb
 from operator import mul
@@ -557,4 +556,7 @@ def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:
     if n_max is None or n_max <= cap:
         return call(n_max)
     note = f"n_max capped at {cap} (asked {n_max})"
-    return [replace(report, notes=(*report.notes, note)) for report in call(cap)]
+    return [
+        IdentityReport(r.identity_id, r.params, r.bounds, r.status, r.first_counterexample, (*r.notes, note), r.checked)
+        for r in call(cap)
+    ]
