@@ -9,8 +9,8 @@ routes is meaningful evidence:
 * factorial ratio of term factorials,
 * the additive triangle recurrence (also symbolically over Z[p, q]),
 * a telescoping product of term ratios, as one exact integer quotient,
-* multiset / subset sums of box weights q**(i-1) * p**(n-i), past 64 boxes
-  from the sums of one half box, scaled back for both halves in one join,
+* multiset / subset sums of box weights q**(i-1) * p**(n-i), from the sums
+  of one half box, scaled back for both halves in one join,
 * an alternating partial-fraction sum over the nodes q**s * p**(k-s).
 
 All routes ignore the sequence ``scale``: the factorial route cancels it
@@ -33,7 +33,6 @@ from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
 _CACHE_LIMIT = 128  # memoized rows per triangle; rows past it are rebuilt, not cached
 _MAX_PAIRS = 64
-_SPLIT_BOXES = 64  # fewest boxes the subset and multiset sums split in halves (measured crossover)
 
 
 def _check_indices(n: int, k: int) -> None:
@@ -289,7 +288,7 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
 
     Evaluates sum over 1 <= b_1 <= ... <= b_k <= n of w(b_1) * ... * w(b_k)
     by the complete homogeneous recursion h(i, j) = h(i-1, j) + w_i * h(i, j-1),
-    split in two scaled half boxes as ``coeff_lambda_subset`` splits its sum:
+    split at every n in two scaled half boxes as ``coeff_lambda_subset`` does:
     h_k = sum over j of a**j * b**(k-j) * h_j(h boxes) * h_(k-j)(n - h boxes),
     with j = 0..k, as a box may be chosen again.  Only the h boxes are summed:
     for odd n the h + 1 boxes are one box p**h and q times the h boxes, so
@@ -300,8 +299,6 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
         raise ValueError("n must be positive")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if n < _SPLIT_BOXES:
-        return _complete_sums(box_weights(params, n), k)[k]
     h = n // 2
     left = right = _complete_sums(box_weights(params, h), k)
     if n % 2:
@@ -342,14 +339,11 @@ def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:
     (``_elementary_sums``).  For even n both halves read that band; for odd n
     the h + 1 boxes are a box p**h and q times the h boxes, with sums
     e'_j = q**j * e_j + p**h * q**(j-1) * e_(j-1) from the same band, which
-    reaches j = k - hi - 1.  Below ``_SPLIT_BOXES`` boxes one band over all
-    of them costs less.  The value equals C(n, k) * (p*q)**(k*(k-1)/2),
+    reaches j = k - hi - 1.  The value equals C(n, k) * (p*q)**(k*(k-1)/2),
     and 0 when k > n.
     """
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    if n < _SPLIT_BOXES:
-        return _elementary_sums(box_weights(params, n), k, k)[k]
     h = n // 2
     lo, hi = max(0, k - (n - h)), min(h, k)
     sums = _elementary_sums(box_weights(params, h), hi, lo)

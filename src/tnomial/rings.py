@@ -295,13 +295,13 @@ class BiPoly(_RingElement):
         return f"BiPoly({self._terms!r})"
 
 
-class QuadElem(_RingElement):
+class QuadElem(Record, _RingElement):
     """Element a + b*t of the quadratic integer ring Z[t]/(t^2 - alpha*t - 1).
 
     t is the image of the larger root (alpha + sqrt(alpha^2 + 4)) / 2 and
     alpha - t the image of the smaller; their product reduces to exactly -1.
-    Instances are immutable; mixing elements with different alpha raises
-    ParameterMismatchError.
+    Instances are immutable records that pickle and copy through the
+    constructor; mixing elements of different alpha raises ParameterMismatchError.
     """
 
     __slots__ = ("a", "b", "alpha")
@@ -309,12 +309,9 @@ class QuadElem(_RingElement):
     def __init__(self, a: int, b: int, alpha: int) -> None:
         if alpha < 1:
             raise ValueError("alpha must be a positive integer")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", a)  # three direct stores, cheaper than Record._set
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "alpha", alpha)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuadElem is immutable")
 
     @classmethod
     def from_int(cls, value: int, alpha: int) -> QuadElem:

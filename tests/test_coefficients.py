@@ -287,25 +287,23 @@ class TestRewrittenRoutesAgainstReferences:
             assert outcome(coeff_product, params, n, k) == expected, (params, n, k)
 
     def test_subset_band_matches_the_full_loop(self):
+        # the small grid's edge cases (k = 0, k = n, k > n, an empty first half);
         # big entries whose two halves both carry a band, one of them an odd split,
-        # and k = n + 1, n + 5 past the split, where no band is left to join
+        # and k = n + 1, n + 5, where no band is left to join
         big = [(SeqParams(2, 3), 101, 50), (SeqParams(-3, 2), 120, 61), (SeqParams(3, -2), 65, 33)]
         big += [(SeqParams(*pq), n, n + d) for pq in [(2, 3), (-3, 2), (0, 3)] for n in (64, 65, 100) for d in (1, 5)]
         for params, n, k in self.small_grid + [(params_23, -1, 0)] + big:
             expected = outcome(full_subset_sum, params, n, k)
             assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)
 
-    def test_subset_split_at_every_n_matches_the_full_loop(self, monkeypatch):
-        # the halves' edge cases (k = 0, k = n, k > n, an empty first half)
-        monkeypatch.setattr(coefficients, "_SPLIT_BOXES", 0)
-        for params, n, k in self.small_grid + [(params_23, -1, 0)]:
-            expected = outcome(full_subset_sum, params, n, k)
-            assert outcome(coeff_lambda_subset, params, n, k) == expected, (params, n, k)
-
     def test_multiset_split_matches_the_full_loop(self):
-        # big entries past the split: odd splits (151 and 65 boxes) and even ones,
-        # k above the box count, and vanishing half factors p**(n-h) or q**h
-        big = [
+        # the small grid's edge cases (k = 0, k > n, an empty first half at n = 1),
+        # k far above one and three boxes; big entries: odd splits (151 and 65
+        # boxes) and even ones, k above the box count, and vanishing half factors
+        # p**(n-h) or q**h
+        extra = [
+            (params_23, 1, 9),
+            (params_23, 3, 20),
             (SeqParams(-3, 2), 151, 150),
             (SeqParams(2, 3), 120, 61),
             (SeqParams(3, -2), 65, 90),
@@ -313,18 +311,11 @@ class TestRewrittenRoutesAgainstReferences:
             (SeqParams(2, 0), 64, 5),
             (SeqParams(2, -2), 80, 40),
         ]
-        for params, n, k in self.small_grid + big:
+        for params, n, k in self.small_grid + extra:
             expected = outcome(full_multiset_sum, params, n, k)
             assert outcome(coeff_lambda_multiset, params, n, k) == expected, (params, n, k)
 
-    def test_multiset_split_at_every_n_matches_the_full_loop(self, monkeypatch):
-        # the halves' edge cases (k = 0, k > n, an empty first half at n = 1)
-        monkeypatch.setattr(coefficients, "_SPLIT_BOXES", 0)
-        for params, n, k in self.small_grid + [(params_23, 1, 9), (params_23, 3, 20)]:
-            expected = outcome(full_multiset_sum, params, n, k)
-            assert outcome(coeff_lambda_multiset, params, n, k) == expected, (params, n, k)
-
-    @pytest.mark.parametrize("n", [64, 65, 300, 301])
+    @pytest.mark.parametrize("n", [30, 31, 40, 41, 63, 64, 65, 300, 301])
     def test_shared_half_at_both_parities_matches_the_full_loop(self, n):
         # even n reads the first half's sums twice, odd n extends them by the box p**h;
         # (0, 3) and (3, 0) make p**h or q vanish, (2, -2) and (2, 2) have p = -q and p = q

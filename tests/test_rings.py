@@ -363,6 +363,20 @@ class TestQuadElem:
         with pytest.raises(AttributeError):
             t.a = 9
 
+    def test_pickles_copies_and_refuses_deletion(self):
+        z = QuadElem(-4, 7, 3)
+        copies = [copy.copy(z), copy.deepcopy(z)]
+        copies += [pickle.loads(pickle.dumps(z, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for duplicate in copies:
+            assert type(duplicate) is QuadElem and duplicate == z and repr(duplicate) == repr(z)
+            assert (duplicate.a, duplicate.b, duplicate.alpha) == (-4, 7, 3)
+        for name in ("a", "b", "alpha", "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(z, name)
+        assert (z.a, z.b, z.alpha) == (-4, 7, 3)
+
     def test_power(self):
         t = QuadElem.root(1)
         assert t**10 == QuadElem(34, 55, 1)
