@@ -385,20 +385,19 @@ def _join_scaled_halves(left: list[int], right: list[int], a: int, b: int, lo: i
     sums.  With P_t = L_t * R_(k-t) the sum is a**lo * b**(k-hi) * S(lo, hi),
     and S(i, j) = sum over t = i..j of a**(t-i) * b**(j-t) * P_t splits at the
     middle m as b**(j-m) * S(i, m) + a**(m+1-i) * S(m+1, j): the factors of
-    each product grow together, and each power is computed once.
+    each product grow together.  No power is cached: building a cache costs more than the repeats.
     """
     terms = list(map(mul, left, reversed(right)))
     if not terms:
         return 0
-    a_power, b_power = cache(a.__pow__), cache(b.__pow__)
 
     def fold(i: int, j: int) -> int:
         if i == j:
             return terms[i]
         m = (i + j) // 2
-        return b_power(j - m) * fold(i, m) + a_power(m + 1 - i) * fold(m + 1, j)
+        return b ** (j - m) * fold(i, m) + a ** (m + 1 - i) * fold(m + 1, j)
 
-    return fold(0, len(terms) - 1) * a_power(lo) * b_power(k - lo - len(terms) + 1)
+    return fold(0, len(terms) - 1) * a**lo * b ** (k - lo - len(terms) + 1)
 
 
 def coeff_partial_fractions(params: SeqParams, n: int, k: int) -> Fraction:
@@ -479,18 +478,14 @@ def coeff_inverse(params: SeqParams, n: int, k: int) -> int:
     C(r, i) * C(r - i; i_2, ...) and the remaining parts run over all
     compositions of r - i with one sign flip, a(0) = 1 and
     a(m) = -sum over i = 1..m of C(m, i) * a(m - i).  That takes O(r**2)
-    products over rows 0..r and row n of one pass of the triangle, where the
-    composition sum has 2**(r-1) terms.
+    products over rows 0..r of the triangle, where the composition sum has
+    2**(r-1) terms, and C(n, k) is read from ``coeff_recurrence``.
     """
     _check_indices(n, k)
-    if k == n:
-        return 1
-    r = n - k
     a: list[int] = []
-    for row in triangle_rows(params, n):
-        if len(a) <= r:
-            a.append(_composition_sum(row, a))
-    return row[k] * a[r]  # row is row n, the last one yielded
+    for row in triangle_rows(params, n - k):
+        a.append(_composition_sum(row, a))
+    return coeff_recurrence(params, n, k) * a[-1]
 
 
 def inverse_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:

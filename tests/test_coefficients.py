@@ -227,7 +227,8 @@ class TestInverseRoute:
         got = [[coeff_inverse(params, n, k) for k in range(n + 1)] for n in range(order)]
         assert invert_triangular(triangle).rows == tuple(tuple(row) for row in got)
 
-    def test_one_pass_over_the_rows(self, monkeypatch):
+    @pytest.mark.parametrize("n, k, last_built", [(40, 0, 40), (40, 38, 4)])
+    def test_one_pass_over_the_rows(self, n, k, last_built, monkeypatch):
         built = []
         next_row = coefficients._next_row
 
@@ -238,10 +239,17 @@ class TestInverseRoute:
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
-        # the composition sum would enumerate 2**39 compositions here
-        value = coeff_inverse(SeqParams(7, -5), 40, 0)
-        assert built == list(range(1, 41))
+        # rows 0..n - k give a(n - k), and C(n, k) is walked past the memo in
+        # its window; at k = 0 the composition sum has 2**39 terms
+        value = coeff_inverse(SeqParams(7, -5), n, k)
+        assert built == list(range(1, last_built + 1))
         assert value != 0
+
+    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (4, -1)])
+    def test_entry_past_the_memo_matches_the_factorial_route(self, pq):
+        # a(2) = C(2, 1) - 1 = p + q - 1
+        params = SeqParams(*pq)
+        assert coeff_inverse(params, 300, 298) == coeff_factorial(params, 300, 2) * (sum(pq) - 1)
 
     def test_inverse_rows_match_entries_and_substitution(self):
         for p, q in pq_grid():

@@ -67,10 +67,16 @@ SHARED = {  # qualified name: (the routes that may share it, why)
         " with its own step; the inverse route reaches it through triangle_rows",
     ),
     "coefficients._walk_window": (
-        RECURRENCE,
-        "the one window walker of the integer and the symbolic recurrence, each with its own step",
+        RECURRENCE | TRIANGLE,
+        "the one window walker of the integer and the symbolic recurrence, each with its own"
+        " step; the inverse route reaches it through coeff_recurrence",
     ),
     "coefficients.triangle_rows": (TRIANGLE, "the inverse route is defined from the triangle's rows"),
+    "coefficients.coeff_recurrence": (
+        TRIANGLE,
+        "the inverse entry is C(n, k) * a(n - k) by definition; it is never compared with the"
+        " recurrence, only through inverse_rows with oracles.invert_triangular",
+    ),
     "coefficients._row": (TRIANGLE, "the memoized rows that triangle_rows yields"),
     "coefficients._int_step": (TRIANGLE, "the integer step that triangle_rows builds its rows with"),
 }
