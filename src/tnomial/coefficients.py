@@ -31,7 +31,7 @@ from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, balanced_product, exact_div
 from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
-_CACHE_LIMIT = 128  # memoized rows per triangle; rows past it are rebuilt, not cached
+_CACHE_LIMIT = 128  # memoized rows per triangle, for row readers; point forms walk their window
 _MAX_PAIRS = 64
 
 
@@ -58,13 +58,12 @@ def _next_row(prev: list, step: Callable) -> list:
     return _share_mirrored([prev[0], *step(prev, m, 1, m - 1), prev[0]])
 
 
-def _walk_window(row: list, n: int, k: int, zero: object, step: Callable) -> object:
-    """C(n, k) from ``row``, row len(row) - 1 of the triangle, by ``step``:
-    each later row m is built only in the window j <= k, m - j <= n - k that
-    C(n, k) depends on, in place, from the previous window and the edges,
-    the unit and C(m - 1, m) = ``zero``.  Nothing is stored."""
-    window = row[: k + 1] + [zero] * (k + 1 - len(row))
-    for m in range(len(row), n + 1):
+def _walk_window(unit: object, n: int, k: int, zero: object, step: Callable) -> object:
+    """C(n, k) of the triangle whose row 0 is [unit], by ``step``: each row m >= 1
+    is built only in the window j <= k, m - j <= n - k that C(n, k) depends on,
+    in place, from the last window, the unit and C(m - 1, m) = ``zero``."""
+    window = [unit] + [zero] * k
+    for m in range(1, n + 1):
         lo, hi = max(1, k - (n - m)), min(m, k)
         window[lo : hi + 1] = step(window, m, lo, hi)
     return window[k]
@@ -97,14 +96,14 @@ def _row(p: int, q: int, n: int) -> list[int]:
 def coeff_recurrence(params: SeqParams, n: int, k: int) -> int:
     """C(n, k) from C(n, k) = p**(n-k) C(n-1, k-1) + q**k C(n-1, k).
 
-    Rows up to the cache limit are memoized whole; past the last cached row
-    only the window that C(n, k) depends on is built (``_walk_window``).
+    Rows up to the cache limit are memoized whole; past it only the window
+    that C(n, k) depends on is built, from row 0 (``_walk_window``).
     """
     p, q = params.p, params.q
     if 0 <= k <= n <= _CACHE_LIMIT:
         return _row(p, q, n)[k]
     _check_indices(n, k)
-    return _walk_window(_row(p, q, _CACHE_LIMIT), n, k, 0, partial(_int_step, p, q))
+    return _walk_window(1, n, k, 0, partial(_int_step, p, q))
 
 
 def triangle_rows(params: SeqParams, n_max: int) -> Iterator[list[int]]:
@@ -136,7 +135,7 @@ def _next_entry_dense(left: list[int], right: list[int], shift: int) -> list[int
 
 @cache
 def _cached_dense_row(n: int) -> list[list[int]]:
-    """Row n <= _CACHE_LIMIT of the symbolic triangle in dense form, memoized."""
+    """Row n <= _CACHE_LIMIT of the symbolic triangle in dense form, memoized for ``symbolic_row``."""
     return [[1]] if n == 0 else _next_row(_cached_dense_row(n - 1), _dense_step)
 
 
@@ -147,23 +146,22 @@ def _poly_of_dense(dense: list[int]) -> BiPoly:
 
 @cache
 def _symbolic_entry(n: int, k: int) -> BiPoly:
-    """Entry (n, k) of the symbolic triangle as a ``BiPoly``, for valid
-    indices with n <= _CACHE_LIMIT, memoized."""
-    return _poly_of_dense(_cached_dense_row(n)[k])
+    """Entry (n, k) of the symbolic triangle as a ``BiPoly``, for valid indices, its window
+    walked from row 0 by the dense step; ``coeff_symbolic`` reads the memo up to _CACHE_LIMIT."""
+    return _poly_of_dense(_walk_window([1], n, k, [], _dense_step))
 
 
 def coeff_symbolic(n: int, k: int) -> BiPoly:
     """C(n, k) as a polynomial in Z[p, q] via the same triangle recurrence.
 
-    The integer triangle's row builder and window walker run with the dense
-    step ``_dense_step``.  Rows up to the cache limit are memoized, and
-    so is the requested entry as a ``BiPoly``; past the limit only the
-    entry's window is built, from row 0, and nothing is stored.
+    The integer triangle's window walker runs from row 0 with the dense step
+    ``_dense_step``.  The entry is memoized up to the cache limit; past it the
+    same walk runs and nothing is stored.
     """
     if 0 <= k <= n <= _CACHE_LIMIT:
         return _symbolic_entry(n, k)
     _check_indices(n, k)
-    return _poly_of_dense(_walk_window([[1]], n, k, [], _dense_step))
+    return _symbolic_entry.__wrapped__(n, k)
 
 
 def symbolic_row(params: SeqParams, n: int) -> list[int]:

@@ -227,7 +227,7 @@ class TestInverseRoute:
         got = [[coeff_inverse(params, n, k) for k in range(n + 1)] for n in range(order)]
         assert invert_triangular(triangle).rows == tuple(tuple(row) for row in got)
 
-    @pytest.mark.parametrize("n, k, last_built", [(40, 0, 40), (40, 38, 4)])
+    @pytest.mark.parametrize("n, k, last_built", [(40, 0, 40), (40, 38, 2)])
     def test_one_pass_over_the_rows(self, n, k, last_built, monkeypatch):
         built = []
         next_row = coefficients._next_row
@@ -239,8 +239,8 @@ class TestInverseRoute:
         monkeypatch.setattr(coefficients, "_next_row", counting_next_row)
         coefficients._row.cache_clear()
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
-        # rows 0..n - k give a(n - k), and C(n, k) is walked past the memo in
-        # its window; at k = 0 the composition sum has 2**39 terms
+        # rows 0..n - k give a(n - k), and C(n, k) is walked in its window from
+        # row 0, filling no memo row; at k = 0 the composition sum has 2**39 terms
         value = coeff_inverse(SeqParams(7, -5), n, k)
         assert built == list(range(1, last_built + 1))
         assert value != 0
@@ -369,7 +369,7 @@ class TestRewrittenRoutesAgainstReferences:
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         values = [coeff_recurrence(params_23, 400, k) for k in (0, 1, 399)]
         assert values == [1, term_closed(params_23, 400), term_closed(params_23, 400)]
-        assert built == [1, 2, 3, 4]
+        assert built == []  # each window is walked from row 0; no memo row is built
 
     def test_symbolic_matches_sparse_kernel(self):
         rows = sparse_symbolic_rows(24)
@@ -383,7 +383,7 @@ class TestRewrittenRoutesAgainstReferences:
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         got = [[coeff_symbolic(n, k) for k in range(n + 1)] for n in range(15)]
         assert got == rows
-        assert coefficients._cached_dense_row.cache_info().currsize == 5
+        assert coefficients._cached_dense_row.cache_info().currsize == 0  # the point form reads no row
         assert coefficients._symbolic_entry.cache_info().currsize == 15  # the entries of rows 0..4
 
     def test_symbolic_past_cache_limit_stores_nothing(self, monkeypatch):
@@ -394,6 +394,20 @@ class TestRewrittenRoutesAgainstReferences:
         assert coeff_symbolic(9, 3) == rows[9][3]
         assert coefficients._cached_dense_row.cache_info().currsize == 0
         assert coefficients._symbolic_entry.cache_info().currsize == 0
+
+    def test_symbolic_entry_at_the_cache_limit_builds_no_dense_row(self):
+        # a thin entry at the real limit walks k + 1 = 2 entries a row, not rows 0..128 whole
+        clear_symbolic_memos()
+        entry = coeff_symbolic(128, 1)
+        assert coefficients._cached_dense_row.cache_info().currsize == 0
+        for pq in [(2, 3), (-3, 2), (0, 2), (2, 2)]:
+            assert entry.eval(*pq) == term_closed(SeqParams(*pq), 128), pq
+
+    def test_recurrence_past_cache_limit_fills_no_memo_row(self):
+        coefficients._row.cache_clear()
+        value = coeff_recurrence(params_23, 400, 398)
+        assert coefficients._row.cache_info().currsize == 0
+        assert value == coeff_factorial(params_23, 400, 398)
 
     def test_memoized_entry_plans_only_when_evaluated(self):
         clear_symbolic_memos()
@@ -650,7 +664,7 @@ class TestMirroredEntriesShared:
             self.assert_shared(row)
 
     def test_symbolic_dense_rows(self):
-        coeff_symbolic(40, 20)
+        symbolic_row(params_23, 40)  # the row reader fills the dense rows; coeff_symbolic reads none
         for n in range(41):
             self.assert_shared(coefficients._cached_dense_row(n))
 
