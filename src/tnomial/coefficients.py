@@ -28,7 +28,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .errors import DegenerateParametersError, DivisibilityError
-from .rings import BiPoly, balanced_product, exact_div
+from .rings import BiPoly, balanced_product, exact_div, series_product
 from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
 _CACHE_LIMIT = 128  # memoized rows per triangle, for row readers; point forms walk their window
@@ -298,7 +298,7 @@ def coeff_lambda_multiset(params: SeqParams, n: int, k: int) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     h = n // 2
-    left = right = _complete_sums(box_weights(params, h), k)
+    left = right = series_product((), k + 1, reciprocals=box_weights(params, h))
     if n % 2:
         right, g, p_h, q_power = [], 0, params.p**h, 1
         for x in left:
@@ -312,16 +312,7 @@ def lambda_multiset_row(params: SeqParams, n: int) -> list[int]:
     """h_0..h_n of the n box weights: entry k equals ``coeff_lambda_multiset``."""
     if n < 1:
         raise ValueError("n must be positive")
-    return _complete_sums(box_weights(params, n), n)
-
-
-def _complete_sums(weights: list[int], k: int) -> list[int]:
-    """h_0..h_k of the weights, in one pass over them."""
-    h = [1] + [0] * k
-    for w in weights:
-        for j in range(1, k + 1):
-            h[j] += w * h[j - 1]
-    return h
+    return list(series_product((), n + 1, reciprocals=box_weights(params, n)))
 
 
 def coeff_lambda_subset(params: SeqParams, n: int, k: int) -> int:

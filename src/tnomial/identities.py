@@ -21,9 +21,10 @@ specializations: Gaussian coefficients with their interpolation basis,
 and generalized Fibonomial coefficients, which the suites check inside
 the quadratic ring Z[t]/(t^2 - alpha*t - 1).
 
-Each product is written once, over a ring given by ``one``, ``p`` and ``q``:
-Z at a parameter pair, Z[p, q], or Z[t]/(t^2 - alpha*t - 1) at (p, q) =
-(t, alpha - t); the weights never come from the routes being checked.
+Each product is written once, over the ring of ``params.p`` and ``params.q``:
+Z at a parameter pair, Z[p, q] at the indeterminates, or
+Z[t]/(t^2 - alpha*t - 1) at (p, q) = (t, alpha - t); the weights never come
+from the routes being checked.
 The expansions return coefficient tuples and compare nothing: the suites set
 each coefficient against the triangle, one sweep point per coefficient.
 """
@@ -35,7 +36,7 @@ from operator import mul
 
 from .coefficients import coeff_recurrence
 from .errors import DegenerateParametersError
-from .rings import BiPoly, series_product
+from .rings import series_product
 from .sequences import SeqParams
 
 
@@ -43,39 +44,32 @@ def _binom2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def _ring(params: SeqParams | None) -> tuple:
-    """``(one, p, q)``: Z[p, q] for ``params=None``, else Z at (p, q)."""
-    if params is None:
-        return BiPoly.one(), BiPoly.var_p(), BiPoly.var_q()
-    return 1, params.p, params.q
+def _ring(params: SeqParams) -> tuple:
+    """``(one, p, q)`` in the ring of ``params.p`` and ``params.q``."""
+    return params.p * 0 + 1, params.p, params.q
 
 
 def _box_weights(p, q, n: int) -> list:
     return [q ** (i - 1) * p ** (n - i) for i in range(1, n + 1)]
 
 
-def _box_factors(one, p, q, n: int) -> list[tuple]:
-    """The factors 1 - q**(i-1) p**(n-i) x, i = 1..n, of the subset product."""
-    return [(one, -w) for w in _box_weights(p, q, n)]
+def expand_subset_gf(n: int, params: SeqParams, order: int | None = None) -> tuple:
+    """Coefficients 0..order-1 (default 0..n) of prod_{i=1..n} (1 - w_i x),
+    in the ring of ``params.p`` and ``params.q``.
 
-
-def expand_subset_gf(n: int, params: SeqParams | None = None, order: int | None = None) -> tuple:
-    """Coefficients 0..order-1 (default 0..n) of prod_{i=1..n} (1 - w_i x).
-
-    With ``params=None`` the expansion runs over Z[p, q], otherwise over
-    the integers.  Coefficient k is (-1)**k (pq)**C(k,2) C(n, k), and 0
-    beyond degree n.
+    Coefficient k is (-1)**k (pq)**C(k,2) C(n, k), and 0 beyond degree n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if order is None:
         order = n + 1
     one, p, q = _ring(params)
-    return series_product(_box_factors(one, p, q, n), order, one)
+    return series_product([(one, -w) for w in _box_weights(p, q, n)], order, one)
 
 
-def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> tuple:
-    """Coefficients 0..order-1 of prod_{i=1..n} 1/(1 - w_i x).
+def expand_multiset_gf(n: int, order: int, params: SeqParams) -> tuple:
+    """Coefficients 0..order-1 of prod_{i=1..n} 1/(1 - w_i x), in the ring
+    of ``params.p`` and ``params.q``.
 
     Each reciprocal factor is applied as one pass over the series, not
     expanded first; coefficient k is C(n + k - 1, k).
@@ -88,8 +82,9 @@ def expand_multiset_gf(n: int, order: int, params: SeqParams | None = None) -> t
     return series_product((), order, one, reciprocals=_box_weights(p, q, n))
 
 
-def expand_split_gf(n: int, params: SeqParams | None = None) -> tuple:
-    """All n + 1 coefficients of prod_{i=1..n} (p**(i-1) - q**(i-1) x).
+def expand_split_gf(n: int, params: SeqParams) -> tuple:
+    """All n + 1 coefficients of prod_{i=1..n} (p**(i-1) - q**(i-1) x), in
+    the ring of ``params.p`` and ``params.q``.
 
     Coefficient k is (-1)**k q**C(k,2) p**C(n-k,2) C(n, k).
     """

@@ -17,7 +17,10 @@ from .rings import balanced_product, exact_div
 
 
 class SeqParams(Record):
-    """Sequence parameters; ``scale`` is the value of the first term."""
+    """Sequence parameters; ``scale`` is the value of the first term.
+
+    ``p`` and ``q`` may be elements of any ring that mixes with int (the
+    product expansions run in their ring); the routes that divide need ints."""
 
     __slots__ = ("p", "q", "scale")
 

@@ -34,7 +34,6 @@ from .coefficients import (
 from .errors import DegenerateParametersError
 from .identities import (
     _binom2,
-    _box_factors,
     _orthogonal_sums,
     _vandermonde_at,
     alpha_fibonacci,
@@ -56,7 +55,7 @@ from .oracles import (
     volume_ratio,
 )
 from .report import IdentityReport, sweep
-from .rings import BiPoly, QuadElem, XSeries, exact_div, series_product
+from .rings import BiPoly, QuadElem, XSeries, exact_div
 from .sequences import SeqParams, term_closed
 
 def pq_grid(lo: int = -2, hi: int = 4) -> list[tuple[int, int]]:
@@ -183,11 +182,11 @@ def gf_suite(grid: Grid = PQ_GRID, n_max: int = 8, order: int = 10) -> IdentityR
 
 
 def _binomial_points(n_max):
-    p, q = BiPoly.var_p(), BiPoly.var_q()
+    params = SeqParams(BiPoly.var_p(), BiPoly.var_q())
     for n in range(1, n_max + 1):
         row = [coeff_symbolic(n, k) for k in range(n + 1)]
-        for form, series in (("subset-gf", expand_subset_gf(n)), ("split-gf", expand_split_gf(n))):
-            for point in _product_points(p, q, n, form, series, row):
+        for form, series in (("subset-gf", expand_subset_gf(n, params)), ("split-gf", expand_split_gf(n, params))):
+            for point in _product_points(params.p, params.q, n, form, series, row):
                 yield point[2:]  # keyed (n, form, k): p and q are the indeterminates
 
 
@@ -307,9 +306,9 @@ def fibonomial_suite(alpha: int, n_max: int = 10) -> IdentityReport:
     (a) sequence splitting: f(k+m) = f(m-1) f(k) + f(k+1) f(m);
     (b) triangle recurrence: C(n,k) = f(n-k-1) C(n-1,k-1) + f(k+1) C(n-1,k)
         against the factorial ratio;
-    (c) in Z[t]/(t^2 - alpha*t - 1), with u = t and v = alpha - t, the
-        product prod_{s=1..n} (1 - v**(s-1) u**(n-s) x) expands with
-        t-free coefficients equal to (-1)**C(k+1,2) C(n, k).
+    (c) the subset product prod_{s=1..n} (1 - q**(s-1) p**(n-s) x), over
+        the ring of ``params.p`` and ``params.q`` at (p, q) = (t, alpha - t)
+        in Z[t]/(t^2 - alpha*t - 1), has t-free coefficients (-1)**C(k+1,2) C(n, k).
     """
     if alpha < 1 or n_max < 0:
         raise ValueError("alpha must be positive and n_max nonnegative")
@@ -335,10 +334,9 @@ def _fibonomial_points(alpha: int, n_max: int):
             recurrence = fib[m - 1] * coefficient(n - 1, k - 1) + fib[k + 1] * coefficient(n - 1, k)
             yield n, k, coefficient(n, k), recurrence
 
-    u, v, one = QuadElem.root(alpha), QuadElem.conjugate_root(alpha), QuadElem.from_int(1, alpha)
+    roots = SeqParams(QuadElem.root(alpha), QuadElem.conjugate_root(alpha))
     for n in range(1, n_max + 1):
-        # the subset product at (p, q) = (u, v) = (t, alpha - t)
-        series = series_product(_box_factors(one, u, v, n), n + 1, one=one)
+        series = expand_subset_gf(n, roots)  # the subset product at (p, q) = (t, alpha - t)
         for k in range(n + 1):
             # a QuadElem equals an int only when it is t-free
             yield n, k, series[k], (-1) ** _binom2(k + 1) * coefficient(n, k)

@@ -29,6 +29,7 @@ from tnomial.sequences import SeqParams
 from tnomial.suites import fibonomial_suite, pq_grid
 
 params_23 = SeqParams(2, 3)
+SYMBOLIC = SeqParams(BiPoly.var_p(), BiPoly.var_q())  # the expansions over Z[p, q]
 
 
 class TestProductExpansions:
@@ -43,7 +44,7 @@ class TestProductExpansions:
         assert expand_split_gf(3, params_23) == (8, -38, 57, -27)
 
     def test_symbolic_subset_expansion(self):
-        coeffs = expand_subset_gf(2)
+        coeffs = expand_subset_gf(2, SYMBOLIC)
         p, q = BiPoly.var_p(), BiPoly.var_q()
         assert coeffs[0] == BiPoly.one()
         assert coeffs[1] == -(p + q)
@@ -77,6 +78,20 @@ class TestProductExpansions:
             b = expand_multiset_gf(n, 9, params_23)
             assert XSeries(a) * XSeries(b) == XSeries((1, 0, 0, 0, 0, 0, 0, 0, 0))
 
+    @pytest.mark.parametrize(
+        "params",
+        [SeqParams(QuadElem.root(alpha), QuadElem.conjugate_root(alpha)) for alpha in (1, 2, 3)] + [SYMBOLIC],
+        ids=["alpha=1", "alpha=2", "alpha=3", "symbolic"],
+    )
+    def test_every_coefficient_lies_in_the_ring_of_params(self, params):
+        # coefficient 0 too: the empty product is the ring's one, not the int 1
+        for n in range(5):
+            expansions = [expand_subset_gf(n, params, n + 3), expand_split_gf(n, params)]
+            if n >= 1:
+                expansions.append(expand_multiset_gf(n, 4, params))
+            for series in expansions:
+                assert [type(c) for c in series] == [type(params.p)] * len(series), (n, series)
+
 
 EVAL_POINTS = ((2, 3), (-3, 2), (0, 2), (2, 2))
 
@@ -101,11 +116,11 @@ class TestSymbolicMatchesNumeric:
         params = SeqParams(p, q)
         for n in range(7):
             for order in (n + 1, n + 3):
-                pairs = [(expand_subset_gf(n, None, order), expand_subset_gf(n, params, order))]
+                pairs = [(expand_subset_gf(n, SYMBOLIC, order), expand_subset_gf(n, params, order))]
                 if order == n + 1:  # the split product is always expanded to its degree n
-                    pairs.append((expand_split_gf(n), expand_split_gf(n, params)))
+                    pairs.append((expand_split_gf(n, SYMBOLIC), expand_split_gf(n, params)))
                 if n >= 1:
-                    pairs.append((expand_multiset_gf(n, order, None), expand_multiset_gf(n, order, params)))
+                    pairs.append((expand_multiset_gf(n, order, SYMBOLIC), expand_multiset_gf(n, order, params)))
                 for symbolic, numeric in pairs:
                     assert _evaluated(symbolic, p, q) == list(numeric)
 
@@ -163,13 +178,11 @@ class TestCorruptedCoefficients:
     weighted entries."""
 
     @pytest.mark.parametrize("identity", CORRUPTED)
-    @pytest.mark.parametrize("params", [None, params_23, SeqParams(-3, 2)], ids=["symbolic", "2,3", "-3,2"])
+    @pytest.mark.parametrize("params", [SYMBOLIC, params_23, SeqParams(-3, 2)], ids=["symbolic", "2,3", "-3,2"])
     def test_violation_fields(self, identity, params):
         call, weight, entry = CORRUPTED[identity]
-        if params is None:
-            p, q, coeff = P, Q, coeff_symbolic
-        else:
-            p, q, coeff = params.p, params.q, lambda n, k: coeff_recurrence(params, n, k)
+        p, q = params.p, params.q
+        coeff = coeff_symbolic if params is SYMBOLIC else lambda n, k: coeff_recurrence(params, n, k)
         series = call(params)
 
         def points(shift):
@@ -187,7 +200,7 @@ class TestCorruptedCoefficients:
 
 class TestBinomialLike:
     """The binomial-like theorem is the subset and the split product over
-    Z[p, q]; both expanders give it with ``params=None``."""
+    Z[p, q]; both expanders give it at ``SYMBOLIC``, the indeterminates."""
 
     EXPANDERS = {"subset": expand_subset_gf, "split": expand_split_gf}
 
@@ -195,7 +208,7 @@ class TestBinomialLike:
         for n in range(1, 7):
             for form, expand in self.EXPANDERS.items():
                 expected = binomial_like_expected(n, form, P, Q, coeff_symbolic)
-                assert list(expand(n)) == expected, (n, form)
+                assert list(expand(n, SYMBOLIC)) == expected, (n, form)
 
     def test_numeric_params(self):
         # the Z[p, q] expansions evaluated at a pair, against the integer triangle
@@ -204,7 +217,7 @@ class TestBinomialLike:
             for n in range(1, 6):
                 for form, expand in self.EXPANDERS.items():
                     expected = binomial_like_expected(n, form, p, q, lambda n, k: coeff_recurrence(params, n, k))
-                    assert _evaluated(expand(n), p, q) == expected, (p, q, n, form)
+                    assert _evaluated(expand(n, SYMBOLIC), p, q) == expected, (p, q, n, form)
 
 
 class TestOrthogonality:

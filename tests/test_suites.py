@@ -37,6 +37,8 @@ from tnomial.suites import (
     vandermonde_suite,
 )
 
+SYMBOLIC = SeqParams(BiPoly.var_p(), BiPoly.var_q())  # the expansions over Z[p, q]
+
 
 def test_grid_shape():
     grid = pq_grid()
@@ -263,15 +265,15 @@ def test_binomial_fails_on_a_corrupted_split_expansion(monkeypatch):
     expand = identities.expand_split_gf
     pq = BiPoly.var_p() * BiPoly.var_q()
 
-    def corrupted(n, params=None):
+    def corrupted(n, params):
         series = expand(n, params)
-        if (n, params) != (6, None):
+        if (n, params) != (6, SYMBOLIC):
             return series
         return tuple(c + pq * (k == 3) for k, c in enumerate(series))
 
     monkeypatch.setattr(suites, "expand_split_gf", corrupted)
     report = binomial_suite()
-    true = expand(6)[3]
+    true = expand(6, SYMBOLIC)[3]
     assert report.status == "fails"
     assert report.first_counterexample == {"n": 6, "form": "split-gf", "k": 3, "lhs": true + pq, "rhs": true}
     assert report.checked == 2 * (2 + 3 + 4 + 5 + 6) + 7 + 4  # n = 1..5 both forms, n = 6 subset, split k = 0..3
