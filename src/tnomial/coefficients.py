@@ -19,7 +19,6 @@ exactly and the others never see it.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import zip_longest
@@ -31,7 +30,7 @@ from .errors import DegenerateParametersError, DivisibilityError
 from .rings import BiPoly, balanced_product, exact_div, series_product
 from .sequences import SeqParams, _term_product, term_closed, term_factorial
 
-_CACHE_LIMIT = 128  # memoized rows per triangle, for row readers; point forms walk their window
+_CACHE_LIMIT = 128  # integer rows and symbolic entries up to this row are memoized; past it point forms walk their window
 _MAX_PAIRS = 64
 
 
@@ -133,12 +132,6 @@ def _next_entry_dense(left: list[int], right: list[int], shift: int) -> list[int
     return right[:shift] + [0] * (shift - len(right)) + overlap
 
 
-@cache
-def _cached_dense_row(n: int) -> list[list[int]]:
-    """Row n <= _CACHE_LIMIT of the symbolic triangle in dense form, memoized for ``symbolic_row``."""
-    return [[1]] if n == 0 else _next_row(_cached_dense_row(n - 1), _dense_step)
-
-
 def _poly_of_dense(dense: list[int]) -> BiPoly:
     degree = len(dense) - 1
     return BiPoly({(a, degree - a): c for a, c in enumerate(dense)})
@@ -162,23 +155,6 @@ def coeff_symbolic(n: int, k: int) -> BiPoly:
         return _symbolic_entry(n, k)
     _check_indices(n, k)
     return _symbolic_entry.__wrapped__(n, k)
-
-
-def symbolic_row(params: SeqParams, n: int) -> list[int]:
-    """Row n of the symbolic triangle at (p, q), entry k equal to
-    ``coeff_symbolic(n, k).eval(p, q)``: each dense entry, c_a at p**a * q**(d-a),
-    by homogeneous Horner acc = acc * p + c_a * q**(d-a), a = d..0."""
-    _check_indices(n, 0)
-    p, q = params.p, params.q
-    row = deque(_rows_from(_cached_dense_row(min(n, _CACHE_LIMIT)), n, _dense_step), maxlen=1).pop()
-    q_powers = [q**i for i in range(max(map(len, row)))]
-    values = []
-    for dense in row:
-        acc = 0
-        for c, q_power in zip(reversed(dense), q_powers):
-            acc = acc * p + c * q_power
-        values.append(acc)
-    return values
 
 
 def _factorial_half(params: SeqParams, n: int, k: int) -> int:

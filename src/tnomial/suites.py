@@ -28,7 +28,6 @@ from .coefficients import (
     lambda_subset_row,
     partial_fraction_column,
     product_row,
-    symbolic_row,
     triangle_rows,
 )
 from .errors import DegenerateParametersError
@@ -96,7 +95,6 @@ def _route_points(grid, n_max):
             product = product_row(params, n)
             subset = lambda_subset_row(params, n)
             multiset = lambda_multiset_row(params, n) if n >= 1 else None
-            symbolic = symbolic_row(params, n)
             for k, reference in enumerate(rows[n]):
                 if factorial is not None:
                     yield p, q, n, k, "factorial", factorial[k], reference
@@ -107,7 +105,6 @@ def _route_points(grid, n_max):
                     yield p, q, n, k, "multiset", multiset[k], rows[n + k - 1][k]
                 if columns[k] is not None:
                     yield p, q, n, k, "partial-fractions", columns[k][n - k], reference
-                yield p, q, n, k, "symbolic", symbolic[k], reference
 
 
 def _partial_fraction_column(params, k, n_max):
@@ -120,17 +117,16 @@ def _partial_fraction_column(params, k, n_max):
 
 
 def routes_suite(grid: Grid = PQ_GRID, n_max: int = 12) -> IdentityReport:
-    """Agreement of every numeric coefficient route with the recurrence.
+    """Agreement of the five numeric coefficient routes with the recurrence.
 
     Every route is read whole, never entry by entry: the factorial,
-    product, subset, multiset and symbolic routes as one row per (p, q, n),
-    the partial-fraction route as one column per (p, q, k).  Per-route
+    product, subset and multiset routes as one row per (p, q, n), the
+    partial-fraction route as one column per (p, q, k).  Per-route
     preconditions: the factorial ratio needs all terms up to n nonzero; the
     product and partial-fraction routes need non-coincident denominators or
     nodes and are skipped where degenerate.  The subset sum is compared as
-    C(n, k) * (pq)**C(k,2), the multiset sum as C(n + k - 1, k), and the
-    symbolic polynomial by evaluation; it shares the recurrence's loops, so
-    that point checks the symbolic step and the evaluation, not the loop.
+    C(n, k) * (pq)**C(k,2) and the multiset sum as C(n + k - 1, k).  The
+    symbolic triangle is checked over Z[p, q] by ``binomial_suite``.
     """
     keys = ("p", "q", "n", "k", "route")
     return sweep("route-agreement", _grid_label(grid), (n_max, n_max), keys, _route_points(grid, n_max))
@@ -466,7 +462,7 @@ def verify_inverse_relation(p_val: int, n_max: int = 8) -> IdentityReport:
     p**(k*(n-k)), with a() from the inclusion-exclusion recurrence."""
     if p_val < 2:
         raise ValueError("p_val must be at least 2")
-    if n_max < 0 or n_max > 8:
+    if n_max > 8:
         raise ValueError("n_max capped at 8")
     points = _inverse_relation_points(p_val, n_max)
     return sweep("inverse-relation", f"p=q={p_val}", (n_max, n_max), ("n", "k"), points)
@@ -474,7 +470,7 @@ def verify_inverse_relation(p_val: int, n_max: int = 8) -> IdentityReport:
 
 def _inverse_relation_points(p_val: int, n_max: int):
     dag_counts = [count_acyclic_multidigraphs_recurrence(p_val, r) for r in range(n_max + 1)]
-    for n, row in enumerate(inverse_rows(SeqParams(p_val, p_val), n_max)):
+    for n, row in enumerate(_rows(inverse_rows, SeqParams(p_val, p_val), n_max)):
         for k, entry in enumerate(row):
             expected = (-1) ** (n - k) * dag_counts[n - k] * comb(n, k) * p_val ** (k * (n - k))
             yield n, k, entry, expected
@@ -499,7 +495,7 @@ _IDENTITY_CALLS = {  # name: call whose parameters are the ``run_verify`` option
     "specializations": lambda n_max: [specialization_suite(**_given(n_max=n_max))],
 }
 
-_ORACLE_CALLS = {  # name: (largest n_max the brute-force counters accept, call)
+_ORACLE_CALLS = {  # name: (largest n_max: the brute-force counter's cap, or the suite's own range, call)
     "selections": (8, lambda n: [selections_oracle_suite(**_given(n_max=n))]),
     "bipartite": (5, lambda n: [bipartite_oracle_suite(**_given(n_max=n))]),
     "dag": (4, lambda n: [dag_oracle_suite(**_given(n_max=n))]),
@@ -544,8 +540,8 @@ def run_verify(
 
 def run_oracle(which: str, n_max: int | None = None) -> list[IdentityReport]:
     """Run one named oracle cross-check (or all of them); ``n_max`` None
-    takes each oracle's default, and larger values are capped at what the
-    brute-force counters accept, with a note on each report saying so."""
+    takes each oracle's default, and larger values are capped at the oracle's
+    largest n_max, with a note on each report saying so."""
     if which == "all":
         return [report for name in ORACLE_SUITES for report in run_oracle(name, n_max)]
     if which not in _ORACLE_CALLS:

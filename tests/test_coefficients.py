@@ -35,7 +35,6 @@ from tnomial.coefficients import (
     multinomial,
     partial_fraction_column,
     product_row,
-    symbolic_row,
     triangle_rows,
 )
 from tnomial.errors import DegenerateParametersError, DivisibilityError
@@ -165,7 +164,6 @@ def sparse_symbolic_rows(n_max):
 
 
 def clear_symbolic_memos():
-    coefficients._cached_dense_row.cache_clear()
     coefficients._symbolic_entry.cache_clear()
 
 
@@ -383,7 +381,6 @@ class TestRewrittenRoutesAgainstReferences:
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         got = [[coeff_symbolic(n, k) for k in range(n + 1)] for n in range(15)]
         assert got == rows
-        assert coefficients._cached_dense_row.cache_info().currsize == 0  # the point form reads no row
         assert coefficients._symbolic_entry.cache_info().currsize == 15  # the entries of rows 0..4
 
     def test_symbolic_past_cache_limit_stores_nothing(self, monkeypatch):
@@ -392,14 +389,13 @@ class TestRewrittenRoutesAgainstReferences:
         monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 4)
         assert [coeff_symbolic(14, k) for k in range(15)] == rows[14]
         assert coeff_symbolic(9, 3) == rows[9][3]
-        assert coefficients._cached_dense_row.cache_info().currsize == 0
         assert coefficients._symbolic_entry.cache_info().currsize == 0
 
     def test_symbolic_entry_at_the_cache_limit_builds_no_dense_row(self):
         # a thin entry at the real limit walks k + 1 = 2 entries a row, not rows 0..128 whole
         clear_symbolic_memos()
         entry = coeff_symbolic(128, 1)
-        assert coefficients._cached_dense_row.cache_info().currsize == 0
+        assert coefficients._symbolic_entry.cache_info().currsize == 1  # the entry alone is stored
         for pq in [(2, 3), (-3, 2), (0, 2), (2, 2)]:
             assert entry.eval(*pq) == term_closed(SeqParams(*pq), 128), pq
 
@@ -663,11 +659,6 @@ class TestMirroredEntriesShared:
         for row in rows[129:]:
             self.assert_shared(row)
 
-    def test_symbolic_dense_rows(self):
-        symbolic_row(params_23, 40)  # the row reader fills the dense rows; coeff_symbolic reads none
-        for n in range(41):
-            self.assert_shared(coefficients._cached_dense_row(n))
-
     @pytest.mark.parametrize("n", range(4))
     def test_rows_zero_to_three(self, n):
         symmetric = [10**30 + min(k, n - k) for k in range(n + 1)]
@@ -897,7 +888,6 @@ ROW_FORMS = {  # route: (row form, point form of one entry)
     "subset": (lambda_subset_row, coeff_lambda_subset),
     "multiset": (lambda_multiset_row, coeff_lambda_multiset),
     "factorial": (factorial_row, coeff_factorial),
-    "symbolic": (symbolic_row, lambda params, n, k: coeff_symbolic(n, k).eval(params.p, params.q)),
 }
 
 
@@ -950,12 +940,3 @@ class TestRowForms:
         assert factorial_row(SeqParams(-1, 1), 1) == [1, 1]
         assert _outcome(lambda_multiset_row, params_23, 0) == (ValueError, ("n must be positive",))
         assert lambda_subset_row(params_23, 0) == [1]
-
-    def test_symbolic_row_past_the_cache_limit(self, monkeypatch):
-        clear_symbolic_memos()
-        monkeypatch.setattr(coefficients, "_CACHE_LIMIT", 3)
-        for p, q in ((2, 3), (0, 5), (-2, 0), (0, 0)):
-            for n in range(10):
-                expected = [coeff_symbolic(n, k).eval(p, q) for k in range(n + 1)]
-                assert symbolic_row(SeqParams(p, q), n) == expected
-        assert coefficients._cached_dense_row.cache_info().currsize == 4

@@ -21,9 +21,9 @@ from tnomial import coefficients
 PACKAGE = Path(coefficients.__file__).parent
 PARSED = ("coefficients", "sequences", "rings")
 
-ROUTES = {  # route: its point form and its row form in coefficients.py
+ROUTES = {  # route: its point form and, but for symbolic, its row form in coefficients.py
     "recurrence": ("coeff_recurrence", "triangle_rows"),
-    "symbolic": ("coeff_symbolic", "symbolic_row"),
+    "symbolic": ("coeff_symbolic",),
     "factorial": ("coeff_factorial", "factorial_row"),
     "product": ("coeff_product", "product_row"),
     "subset": ("coeff_lambda_subset", "lambda_subset_row"),
@@ -53,18 +53,17 @@ SHARED = {  # qualified name: (the routes that may share it, why)
         " sums, and for odd n extends its first half's sums to the second half in its own code",
     ),
     "coefficients._share_mirrored": (
-        RECURRENCE | TRIANGLE,
+        TRIANGLE,
         "stores equal mirrored entries once; it compares entries and computes none",
     ),
     "coefficients._next_row": (
-        RECURRENCE | TRIANGLE,
-        "the one row builder of the integer and the symbolic recurrence, each with its own"
-        " step; the inverse route reaches it through triangle_rows",
+        TRIANGLE,
+        "the row builder of the integer triangle; the inverse route reaches it through triangle_rows",
     ),
     "coefficients._rows_from": (
-        RECURRENCE | TRIANGLE,
-        "the one rows-past-the-memo loop of the integer and the symbolic recurrence, each"
-        " with its own step; the inverse route reaches it through triangle_rows",
+        TRIANGLE,
+        "the rows-past-the-memo loop of the integer triangle; the inverse route reaches it"
+        " through triangle_rows",
     ),
     "coefficients._walk_window": (
         RECURRENCE | TRIANGLE,
@@ -140,8 +139,8 @@ def route_reach():
 
 def test_routes_listed_are_the_package_routes():
     assert set(ROUTES) == set(coefficients.ROUTE_NAMES) | {"symbolic"}
-    for point, row in ROUTES.values():
-        assert callable(getattr(coefficients, point)) and callable(getattr(coefficients, row))
+    for forms in ROUTES.values():
+        assert all(callable(getattr(coefficients, form)) for form in forms)
 
 
 def test_routes_share_only_declared_names():

@@ -135,6 +135,12 @@ def test_every_oracle_suite_holds_small():
             assert report.holds, (name, report.first_counterexample)
 
 
+def test_every_oracle_suite_is_vacuous_at_a_negative_bound():
+    for name in ORACLE_SUITES:
+        reports = run_oracle(name, -1)
+        assert [(report.status, report.checked) for report in reports] == [("vacuous", 0)] * len(reports), name
+
+
 def test_vandermonde_notes_document_rejected_variant():
     report = vandermonde_suite()
     assert report.holds
@@ -372,8 +378,34 @@ def test_routes_read_one_row_per_route_and_n(monkeypatch):
     assert len(per_basis) == 49 * 13 and max(per_basis.values()) == 1
     assert [len(calls) for calls in point_calls] == [0, 0, 0, 0, 0, 0]
     assert report == IdentityReport(
-        "route-agreement", "p in [-2..4], q in [-2..4]", (12, 12), "holds", checked=24308
+        "route-agreement", "p in [-2..4], q in [-2..4]", (12, 12), "holds", checked=19849
     )
+
+
+def test_routes_compare_the_five_numeric_routes():
+    # the symbolic triangle is checked over Z[p, q] by the binomial suite, not evaluated here
+    routes = Counter(point[4] for point in suites._route_points(suites.PQ_GRID, 12))
+    assert routes == {
+        "subset": 4459, "multiset": 4410, "product": 4195, "factorial": 4019, "partial-fractions": 2766,
+    }
+
+
+def test_verify_catches_a_broken_dense_step(monkeypatch):
+    # the symbolic step with the last coefficient of each entry off by one
+    step = coefficients._next_entry_dense
+
+    def broken(left, right, shift):
+        entry = step(left, right, shift)
+        return [*entry[:-1], entry[-1] + 1]
+
+    monkeypatch.setattr(coefficients, "_next_entry_dense", broken)
+    coefficients._symbolic_entry.cache_clear()
+    try:
+        [report] = run_verify("binomial")
+    finally:
+        monkeypatch.undo()
+        coefficients._symbolic_entry.cache_clear()
+    assert report.status == "fails"
 
 
 @pytest.mark.parametrize(
@@ -382,7 +414,6 @@ def test_routes_read_one_row_per_route_and_n(monkeypatch):
         ("subset", "lambda_subset_row", (2, -1, 5, 3)),
         ("multiset", "lambda_multiset_row", (3, 4, 7, 0)),
         ("factorial", "factorial_row", (-2, 3, 12, 12)),
-        ("symbolic", "symbolic_row", (0, 2, 9, 4)),
         ("product", "product_row", (3, -1, 8, 5)),
     ],
 )
