@@ -7,6 +7,7 @@ import ast
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -390,15 +391,50 @@ def test_routes_compare_the_five_numeric_routes():
     }
 
 
-def test_verify_catches_a_broken_dense_step(monkeypatch):
-    # the symbolic step with the last coefficient of each entry off by one
-    step = coefficients._next_entry_dense
+_ENTRY_DENSE = coefficients._next_entry_dense
+_DENSE_STEP = coefficients._dense_step
 
-    def broken(left, right, shift):
-        entry = step(left, right, shift)
-        return [*entry[:-1], entry[-1] + 1]
 
-    monkeypatch.setattr(coefficients, "_next_entry_dense", broken)
+def _overlap_off_by_one(left, right, shift):
+    overlap = [x + y for x, y in zip_longest(left, right[shift + 1 :], fillvalue=0)]
+    return right[:shift] + [0] * (shift - len(right)) + overlap
+
+
+def _padding_off_by_one(left, right, shift):
+    overlap = [x + y for x, y in zip_longest(left, right[shift:], fillvalue=0)]
+    return right[:shift] + [0] * (shift + 1 - len(right)) + overlap
+
+
+def _last_plus_one(left, right, shift):
+    entry = _ENTRY_DENSE(left, right, shift)
+    return [*entry[:-1], entry[-1] + 1]
+
+
+def _middle_plus_one_from_row_6(prev, m, lo, hi):
+    entries = _DENSE_STEP(prev, m, lo, hi)
+    if m < 6:
+        return entries
+    bumped = []
+    for entry in entries:
+        mid = len(entry) // 2
+        bumped.append([*entry[:mid], entry[mid] + 1, *entry[mid + 1 :]] if len(entry) > 2 else entry)
+    return bumped
+
+
+@pytest.mark.parametrize(
+    "target, mutant, first_n",
+    [
+        ("_next_entry_dense", _overlap_off_by_one, 4),
+        ("_next_entry_dense", _padding_off_by_one, 1),
+        ("_next_entry_dense", _last_plus_one, 1),
+        ("_dense_step", _middle_plus_one_from_row_6, 6),
+    ],
+    ids=["overlap", "padding", "last", "middle-from-row-6"],
+)
+def test_verify_catches_a_broken_dense_step(monkeypatch, target, mutant, first_n):
+    # the binomial suite is the one check of the symbolic triangle, so each
+    # broken symbolic step must fail it, at the first row the break reaches
+    monkeypatch.setattr(coefficients, target, mutant)
     coefficients._symbolic_entry.cache_clear()
     try:
         [report] = run_verify("binomial")
@@ -406,6 +442,7 @@ def test_verify_catches_a_broken_dense_step(monkeypatch):
         monkeypatch.undo()
         coefficients._symbolic_entry.cache_clear()
     assert report.status == "fails"
+    assert report.first_counterexample["n"] == first_n
 
 
 @pytest.mark.parametrize(
