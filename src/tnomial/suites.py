@@ -306,8 +306,8 @@ def fibonomial_suite(alpha: int, n_max: int = 10) -> IdentityReport:
         the ring of ``params.p`` and ``params.q`` at (p, q) = (t, alpha - t)
         in Z[t]/(t^2 - alpha*t - 1), has t-free coefficients (-1)**C(k+1,2) C(n, k).
     """
-    if alpha < 1 or n_max < 0:
-        raise ValueError("alpha must be positive and n_max nonnegative")
+    if alpha < 1:
+        raise ValueError("alpha must be positive")
     points = _fibonomial_points(alpha, n_max)
     return sweep("fibonomial", f"alpha={alpha}", (n_max, n_max), ("n", "k"), points)
 

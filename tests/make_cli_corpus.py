@@ -19,18 +19,18 @@ import os
 from pathlib import Path
 
 from tnomial import cli
+from tnomial.coefficients import ROUTE_NAMES
+from tnomial.suites import IDENTITY_OPTIONS, IDENTITY_SUITES, ORACLE_SUITES
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
 
 FORMATS = ("plain", "json", "csv")
-ROUTES = ("recurrence", "factorial", "product", "subset", "multiset", "partial-fractions", "inverse")
-GRID_SUITES = ("routes", "gf", "orthogonality", "vandermonde", "equal1", "inversion")
-ORACLES = ("selections", "bipartite", "dag", "volume", "inverse-relation")
+GRID_SUITES = tuple(name for name in IDENTITY_SUITES if "grid" in IDENTITY_OPTIONS[name])
 
 ARGV = [
     # coeff: every route on two pairs, the window past the row memo, the
     # symbolic triangle inside and past its memo, and undefined routes.
-    *(["coeff", "--p", p, "--q", q, "--n", "9", "--k", "4", "--route", route] for p, q in (("2", "3"), ("-3", "2")) for route in ROUTES),
+    *(["coeff", "--p", p, "--q", q, "--n", "9", "--k", "4", "--route", route] for p, q in (("2", "3"), ("-3", "2")) for route in ROUTE_NAMES),
     *(["coeff", "--p", "2", "--q", "3", "--n", "12", "--k", "5", "--format", fmt] for fmt in FORMATS),
     ["coeff", "--p", "2", "--q", "3", "--n", "300", "--k", "150"],
     ["coeff", "--p", "-3", "--q", "2", "--n", "300", "--k", "7"],
@@ -78,7 +78,11 @@ ARGV = [
     ["verify", "--identity", "inversion", "--max", "12"],
     ["verify", "--identity", "equal1", "--p", "0", "--q", "0"],
     ["verify", "--identity", "routes", "--max", "0"],
-    *(["oracle", "--which", which] for which in ORACLES),
+    ["verify", "--identity", "gf", "--order", "14", "--p", "-3", "--q", "2", "--format", "csv"],
+    ["verify", "--identity", "orthogonality", "--max", "10", "--format", "json"],
+    ["verify", "--identity", "binomial", "--max", "12", "--format", "json"],
+    ["verify", "--identity", "fibonomial", "--alpha", "3", "--format", "json"],
+    *(["oracle", "--which", which] for which in ORACLE_SUITES),
     ["oracle", "--which", "dag", "--max", "9"],
     ["oracle", "--which", "selections", "--max", "9", "--format", "json"],
     ["oracle", "--which", "bipartite", "--max", "3", "--format", "csv"],

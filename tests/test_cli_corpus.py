@@ -6,9 +6,14 @@ import json
 
 import pytest
 
-from make_cli_corpus import CORPUS, run
+from make_cli_corpus import ARGV, CORPUS, run
 
 ENTRIES = json.loads(CORPUS.read_text())
+
+
+def test_corpus_holds_every_listed_line():
+    # a line added to ARGV without regenerating the file would otherwise never run
+    assert [entry["argv"] for entry in ENTRIES] == ARGV
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(entry["argv"]) for entry in ENTRIES])

@@ -243,7 +243,7 @@ class TestInverseRoute:
         assert built == list(range(1, last_built + 1))
         assert value != 0
 
-    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (4, -1)])
+    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (4, -1), (3, 2)])
     def test_entry_past_the_memo_matches_the_factorial_route(self, pq):
         # a(2) = C(2, 1) - 1 = p + q - 1
         params = SeqParams(*pq)
@@ -401,9 +401,10 @@ class TestRewrittenRoutesAgainstReferences:
 
     def test_recurrence_past_cache_limit_fills_no_memo_row(self):
         coefficients._row.cache_clear()
-        value = coeff_recurrence(params_23, 400, 398)
-        assert coefficients._row.cache_info().currsize == 0
-        assert value == coeff_factorial(params_23, 400, 398)
+        for params in (params_23, SeqParams(3, 2)):
+            value = coeff_recurrence(params, 400, 398)
+            assert coefficients._row.cache_info().currsize == 0
+            assert value == coeff_factorial(params, 400, 398), params
 
     def test_memoized_entry_plans_only_when_evaluated(self):
         clear_symbolic_memos()
@@ -457,6 +458,20 @@ class TestRouteAgreement:
         for k in range(n + 1):
             assert coeff_symbolic(n, k).eval(p, q) == coeff_recurrence(SeqParams(p, q), n, k)
 
+    @pytest.mark.parametrize(
+        "n, ks, pairs",
+        [
+            (30, [*range(13, 18)] * 2, pq_grid()),  # memoized entries, read twice: the second read reuses the plan
+            (128, (1, 2, 126, 127), [(2, 3), (-3, 2), (0, 2), (2, 2)]),  # the memo's last row
+            (140, (3, 5, 135, 137), [(2, 3), (-3, 2), (0, 2), (2, 2)]),  # past the memo
+        ],
+    )
+    def test_symbolic_entries_at_the_memo_edges_evaluate_to_recurrence(self, n, ks, pairs):
+        for k in ks:
+            entry = coeff_symbolic(n, k)
+            for p, q in pairs:
+                assert entry.eval(p, q) == coeff_recurrence(SeqParams(p, q), n, k), (n, k, p, q)
+
     def test_product_route_diagonal(self):
         params = SeqParams(3, 3)
         for n in range(7):
@@ -479,13 +494,16 @@ class TestRouteAgreement:
     def test_multiset_route_above_diagonal(self):
         assert coeff_route(params_23, 2, 5, "multiset") == 0
 
-    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2)])
+    @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (3, 2)])
     def test_split_weight_sums_match_the_factorial_route(self, pq):
-        # 300 boxes for the subset sum and 151 for the multiset sum, both split
+        # n boxes for the subset sum and n - k + 1 for the multiset sum, both split,
+        # at both parities of each; past row 128 the recurrence walks its own window
         params = SeqParams(*pq)
-        expected = coeff_factorial(params, 300, 150)
-        assert coeff_route(params, 300, 150, "subset") == expected
-        assert coeff_route(params, 300, 150, "multiset") == expected
+        for n in (40, 41, 300, 301):
+            k = n // 2
+            expected = coeff_factorial(params, n, k)
+            for route in ("subset", "multiset", "recurrence"):
+                assert coeff_route(params, n, k, route) == expected, (n, route)
 
 
 class TestStructuralIdentities:
