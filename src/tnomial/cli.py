@@ -23,7 +23,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
 
-from .coefficients import ROUTE_NAMES, coeff_route, coeff_symbolic, triangle_rows
+from .coefficients import ROUTE_NAMES, coeff_route, coeff_symbolic, printed_rows
 from .errors import BudgetExceededError, DivisibilityError
 from .report import IdentityReport, decimal_str
 from .sequences import SeqParams
@@ -124,7 +124,7 @@ def _write_table_json(params: SeqParams, rows: Iterable[list[int]], out) -> None
 def _cmd_table(args: SimpleNamespace, out) -> int:
     params = _params_from(args)
     _check_bounds(args)
-    rows = triangle_rows(params, args.max)
+    rows = printed_rows(params, args.max)
     if args.format == "json":
         _write_table_json(params, rows, out)
     elif args.format == "csv":

@@ -40,6 +40,8 @@ ARGV = [
     ["coeff", "--p", "2", "--q", "3", "--n", "40", "--k", "20", "--route", "inverse"],
     ["coeff", "--p", "2", "--q", "3", "--n", "-3", "--k", "2", "--route", "partial-fractions"],
     ["coeff", "--p", "2", "--q", "3", "--n", "3", "--k", "5", "--route", "partial-fractions"],
+    ["coeff", "--p", "2", "--q", "3", "--n", "3", "--k", "5", "--route", "subset"],
+    ["coeff", "--p", "2", "--q", "3", "--n", "3", "--k", "5", "--route", "multiset"],
     ["coeff", "--p", "2", "--q", "2", "--n", "10", "--k", "4", "--route", "product"],
     ["coeff", "--p", "2", "--q", "3", "--scale", "5", "--n", "10", "--k", "4", "--route", "factorial"],
     ["coeff", "--symbolic", "--n", "45", "--k", "20"],
@@ -55,11 +57,15 @@ ARGV = [
     ["coeff", "--p", "1", "--q", "1", "--n", "5", "--k", "2", "--route", "product"],
     ["coeff", "--p", "2", "--q", "3", "--n", "4", "--k", "5"],
     ["coeff", "--p", "2", "--q", "3", "--n", "-1", "--k", "0"],
-    # table: small pairs, and past the 128-row memo in every format.
+    # table: small pairs, past the 128-row memo in every format, and past the
+    # switch to decimal rows (middle entry over 1,000 bits): from row 52 with
+    # negative cells in plain, from row 64 with zero cells in json.
     ["table", "--p", "-3", "--q", "2", "--max", "10"],
     ["table", "--p", "0", "--q", "0", "--max", "5", "--format", "json"],
     ["table", "--p", "1", "--q", "1", "--scale", "3", "--max", "0", "--format", "csv"],
     *(["table", "--p", "2", "--q", "3", "--max", "140", "--format", fmt] for fmt in FORMATS),
+    ["table", "--p", "-3", "--q", "1", "--max", "60"],
+    ["table", "--p", "-2", "--q", "2", "--max", "70", "--format", "json"],
     # verify and oracle: all suites in every format, each grid suite at one
     # pair and on a sample, the suites that take no grid, and capped bounds.
     *(["verify", "--format", fmt] for fmt in FORMATS),

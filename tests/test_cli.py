@@ -240,7 +240,7 @@ class TestTable:
         shared = -(10**25)
         rows = [[1], [1, 1], [big, 5, twin], [1, 10**20, -3, 10**25], [2, shared, 9, shared, 2]]
         assert twin is not big
-        monkeypatch.setattr(cli, "triangle_rows", lambda params, n_max: iter(rows))
+        monkeypatch.setattr(cli, "printed_rows", lambda params, n_max: iter(rows))
         rc, out, _ = run_cli("table", "--p", "2", "--q", "3", "--max", "4", "--format", fmt, capsys=capsys)
         assert rc == 0
         expected = [[str(value) for value in row] for row in rows]

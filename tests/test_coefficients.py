@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import decimal
 import functools
 import itertools
 import sys
@@ -39,9 +40,10 @@ from tnomial.coefficients import (
 )
 from tnomial.errors import DegenerateParametersError, DivisibilityError
 from tnomial.oracles import TriMatrix, invert_triangular
+from tnomial.report import decimal_str
 from tnomial.rings import BiPoly, exact_div
 from tnomial.sequences import SeqParams, compositions_of, term_closed, term_factorial
-from tnomial.suites import pq_grid, run_oracle, run_verify
+from tnomial.suites import PQ_GRID, pq_grid, run_oracle, run_verify
 
 params_23 = SeqParams(2, 3)
 
@@ -492,7 +494,11 @@ class TestRouteAgreement:
             coeff_route(SeqParams(0, 3), 4, 2, "subset")
 
     def test_multiset_route_above_diagonal(self):
-        assert coeff_route(params_23, 2, 5, "multiset") == 0
+        # both weight-sum routes check the indices as every route but partial fractions does
+        for route in ("subset", "multiset"):
+            with pytest.raises(ValueError, match="coefficient indices need 0 <= k <= n"):
+                coeff_route(params_23, 2, 5, route)
+        assert coeff_lambda_subset(params_23, 2, 5) == 0
 
     @pytest.mark.parametrize("pq", [(2, 3), (-3, 2), (3, 2)])
     def test_split_weight_sums_match_the_factorial_route(self, pq):
@@ -654,6 +660,49 @@ class TestPartialFractions:
                     assert coeff_partial_fractions(params, n, k) == coeff_recurrence(
                         params, n, k
                     )
+
+
+class TestPrintedRows:
+    """``printed_rows`` prints as ``triangle_rows``: its int rows up to the
+    first row whose middle entry passes ``_DECIMAL_BITS``, exact ``Decimal``
+    rows after it, and the exact context never reaches the caller."""
+
+    def test_cells_print_as_the_int_rows(self):
+        crossed = 0
+        for p, q in PQ_GRID:  # p = -q holds zeros at odd k of even rows; none may print as -0
+            params = SeqParams(p, q)
+            printed = list(coefficients.printed_rows(params, 70))
+            crossed += isinstance(printed[-1][0], decimal.Decimal)
+            for row, ints in zip(printed, triangle_rows(params, 70), strict=True):
+                assert list(map(str, row)) == list(map(str, ints)), (p, q, len(row) - 1)
+        assert crossed == 40  # of the 49 pairs
+
+    def test_memo_rows_then_decimal_rows(self):
+        rows = list(coefficients.printed_rows(SeqParams(3, -2), 70))
+        switch = next(n for n, row in enumerate(rows) if isinstance(row[0], decimal.Decimal)) - 1
+        assert rows[switch][switch // 2].bit_length() > coefficients._DECIMAL_BITS
+        assert rows[switch - 1][(switch - 1) // 2].bit_length() <= coefficients._DECIMAL_BITS
+        assert all(row is coefficients._row(3, -2, n) for n, row in enumerate(rows[: switch + 1]))
+        assert all(isinstance(value, decimal.Decimal) for row in rows[switch + 1 :] for value in row)
+
+    def test_exact_context_stays_inside(self):
+        context = decimal.getcontext()
+        assert context.prec == 28
+        rows = coefficients.printed_rows(SeqParams(3, 2), 70)
+        for _ in range(61):  # past the switch
+            row = next(rows)
+        assert isinstance(row[1], decimal.Decimal)
+        assert decimal.getcontext() is context and context.prec == 28
+        next(rows)
+        assert decimal.getcontext() is context and context.prec == 28
+        assert len(list(rows)) == 70 - 61
+        assert decimal.getcontext() is context and context.prec == 28
+
+    def test_row_past_the_int_to_str_digit_limit(self):
+        *_, last = coefficients.printed_rows(SeqParams(3, 2), 200)
+        *_, int_row = triangle_rows(SeqParams(3, 2), 200)
+        assert len(str(last[100])) > 4300
+        assert list(map(str, last)) == list(map(decimal_str, int_row))
 
 
 class TestMirroredEntriesShared:
